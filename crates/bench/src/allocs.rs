@@ -14,46 +14,68 @@
 //! to pin the steady-state training step at zero allocations; the
 //! `exp_runner` binary installs it behind the `count-allocs` feature so
 //! `bench --json` can report allocs/iter without taxing normal runs.
+//!
+//! Two views of the same events: the process-wide totals
+//! ([`alloc_count`] and friends) include every thread, which is what a
+//! bench reading a server's worker and reactor threads wants;
+//! [`count_allocs`] reads a per-thread counter, so a gate measuring
+//! work on its own thread is not inflated by sibling test threads.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static DEALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
 /// A system allocator that counts every heap operation.
 pub struct CountingAlloc;
 
+fn count_alloc(bytes: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    // `try_with` fails only while the thread's locals are torn down;
+    // those last allocations stay in the process-wide totals only.
+    let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
 // SAFETY: defers every operation to `System`, which upholds the
-// `GlobalAlloc` contract; the counters are only bookkeeping.
+// `GlobalAlloc` contract; the counters are only bookkeeping, and the
+// thread local is const-initialised, so touching it never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count_alloc(layout.size());
+        // SAFETY: the caller's `layout` contract passes through.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count_alloc(layout.size());
+        // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        count_alloc(new_size);
+        // SAFETY: `ptr` and `layout` come from this allocator, which is
+        // `System` underneath.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         DEALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as for `realloc`.
         unsafe { System.dealloc(ptr, layout) }
     }
 }
 
-/// Total allocations performed so far (0 when [`CountingAlloc`] is not
-/// the process's global allocator).
+/// Total allocations performed so far by every thread (0 when
+/// [`CountingAlloc`] is not the process's global allocator).
 pub fn alloc_count() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
@@ -69,9 +91,11 @@ pub fn allocated_bytes() -> u64 {
 }
 
 /// Runs `f` and returns its result together with the number of heap
-/// allocations it performed.
+/// allocations the calling thread performed meanwhile. Allocations on
+/// other threads — workers `f` hands work to, or unrelated threads
+/// running at the same time — are not counted.
 pub fn count_allocs<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = alloc_count();
+    let before = THREAD_ALLOCS.with(Cell::get);
     let out = f();
-    (out, alloc_count() - before)
+    (out, THREAD_ALLOCS.with(Cell::get) - before)
 }

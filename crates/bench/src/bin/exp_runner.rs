@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! exp_runner [--fast|--full|--smoke] [--threads=N] [--shards=K]
-//!            [--replicas=N] [--epochs=N] [--state=DIR] [--resume]
-//!            [--json] <command>
+//!            [--epochs=N] [--state=DIR] [--resume] [--json] <command>
 //!
 //! Commands:
 //!   table3             Table III  (model constructions, #Para)
@@ -51,18 +50,6 @@
 //!                      repaired), and allocs/request on the cached
 //!                      path (0 under `--features count-allocs`);
 //!                      with `--json`, also writes `BENCH_tenant.json`
-//!   replica-bench      replica-group availability benchmark: solo
-//!                      (N=1) vs N-replica-per-shard serving p50/p99
-//!                      (`--replicas=N`, default 2; responses asserted
-//!                      bit-identical), and — when built with
-//!                      `--features failpoints` — the kill-one-replica
-//!                      schedule: one replica of each group killed by
-//!                      ordinal, availability asserted 100% with zero
-//!                      degraded responses, survivor responses
-//!                      bit-identical, and the warm-standby promotion
-//!                      counters asserted visible over both wire
-//!                      protocols; with `--json`, also writes
-//!                      `BENCH_replica.json`
 //!   train              resumable sharded training: checkpoints the
 //!                      per-shard training state under `--state=DIR`
 //!                      every few epochs; re-running with `--resume`
@@ -79,8 +66,8 @@
 //! exp_runner -- <command>`.
 
 use gcwc_bench::{
-    ablations, ingestbench, jsonbench, params_table, replicabench, resumable, run_table,
-    scalability, scalesweep, servebench, shardsweep, tenantbench, Profile, ScalModel,
+    ablations, ingestbench, jsonbench, params_table, resumable, run_table, scalability, scalesweep,
+    servebench, shardsweep, tenantbench, Profile, ScalModel,
 };
 
 /// Counts every heap allocation so `bench` can report allocs/iter.
@@ -96,7 +83,6 @@ fn main() {
     let mut threads = 0usize;
     let mut json = false;
     let mut shards: Option<usize> = None;
-    let mut replicas = 2usize;
     let mut state_dir: Option<std::path::PathBuf> = None;
     let mut resume = false;
     let mut epochs: Option<usize> = None;
@@ -141,15 +127,6 @@ fn main() {
                     }
                 };
             }
-            flag if flag.starts_with("--replicas=") => {
-                replicas = match flag["--replicas=".len()..].parse() {
-                    Ok(n) if n >= 2 => n,
-                    _ => {
-                        eprintln!("--replicas=N takes an integer >= 2, got {flag:?}");
-                        std::process::exit(2);
-                    }
-                };
-            }
             cmd => commands.push(cmd.to_owned()),
         }
     }
@@ -158,7 +135,7 @@ fn main() {
     // follow the process-wide kernel default.
     gcwc_linalg::parallel::set_global_threads(threads);
     if commands.is_empty() {
-        eprintln!("usage: exp_runner [--fast|--full|--smoke] [--threads=N] [--shards=K] [--replicas=N] [--epochs=N] [--state=DIR] [--resume] [--json] <table3|table4..table13|tables|fig6a|fig6b|threads|ablations|bench|serve-bench|replica-bench|shard-sweep|scale-sweep|ingest-bench|tenant-bench|train|all>");
+        eprintln!("usage: exp_runner [--fast|--full|--smoke] [--threads=N] [--shards=K] [--epochs=N] [--state=DIR] [--resume] [--json] <table3|table4..table13|tables|fig6a|fig6b|threads|ablations|bench|serve-bench|shard-sweep|scale-sweep|ingest-bench|tenant-bench|train|all>");
         std::process::exit(2);
     }
 
@@ -198,18 +175,6 @@ fn main() {
                 if json {
                     let path = "BENCH_serve.json";
                     if let Err(e) = std::fs::write(path, servebench::to_json(&report)) {
-                        eprintln!("failed to write {path}: {e}");
-                        std::process::exit(1);
-                    }
-                    println!("wrote {path}");
-                }
-            }
-            "replica-bench" => {
-                let report = replicabench::run(replicas);
-                print!("{}", replicabench::render(&report));
-                if json {
-                    let path = "BENCH_replica.json";
-                    if let Err(e) = std::fs::write(path, replicabench::to_json(&report)) {
                         eprintln!("failed to write {path}: {e}");
                         std::process::exit(1);
                     }

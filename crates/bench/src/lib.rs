@@ -16,7 +16,6 @@ pub mod jsonbench;
 pub mod methods;
 pub mod params_table;
 pub mod profile;
-pub mod replicabench;
 pub mod resumable;
 pub mod scalability;
 pub mod scalesweep;

@@ -11,7 +11,7 @@ use gcwc::model::Encoder;
 use gcwc::task::corrupt_input_pooled;
 use gcwc::train::run_training;
 use gcwc::{build_samples, ModelConfig, TaskKind, TrainSample};
-use gcwc_bench::allocs::{count_allocs, CountingAlloc};
+use gcwc_bench::allocs::{alloc_count, count_allocs, CountingAlloc};
 use gcwc_linalg::rng::seeded;
 use gcwc_linalg::Threads;
 use gcwc_nn::{Adam, GradBuffer, ParamStore, Tape};
@@ -180,6 +180,7 @@ fn longer_trainings_do_not_allocate_more_per_epoch() {
 
     let short = run(2);
     let long = run(20);
+    assert!(short > 0, "a 2-epoch training allocated nothing — counter not active?");
     let extra = long.saturating_sub(short);
     assert!(
         extra <= 12,
@@ -227,4 +228,40 @@ fn dense_and_csr_kernels_are_allocation_free_in_both_tiers() {
             assert_eq!(allocs, 0, "kernel allocations in tier {tier:?}");
         });
     }
+}
+
+#[test]
+fn count_allocs_sees_only_the_calling_threads_allocations() {
+    // A sibling thread allocates 1000 boxes while the caller, inside
+    // the measured window, allocates exactly 11 (one `Vec` and ten
+    // boxes). The process-wide total sees both; the gate's count sees
+    // only the caller's own.
+    use std::hint::black_box;
+    use std::sync::{Arc, Barrier};
+    const SIBLING: u64 = 1000;
+    let barrier = Arc::new(Barrier::new(2));
+    let sibling = {
+        let barrier = Arc::clone(&barrier);
+        std::thread::spawn(move || {
+            barrier.wait();
+            for i in 0..SIBLING {
+                drop(black_box(Box::new(i)));
+            }
+            barrier.wait();
+        })
+    };
+    let before = alloc_count();
+    let (_, own) = count_allocs(|| {
+        barrier.wait();
+        let mut kept = Vec::with_capacity(10);
+        for i in 0..10u64 {
+            kept.push(black_box(Box::new(i)));
+        }
+        barrier.wait();
+        drop(kept);
+    });
+    let total = alloc_count() - before;
+    sibling.join().unwrap();
+    assert_eq!(own, 11, "the caller's own allocations");
+    assert!(total >= SIBLING + own, "the sibling's allocations fell outside the window: {total}");
 }

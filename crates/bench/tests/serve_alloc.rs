@@ -7,12 +7,8 @@
 //! every request must perform **zero** heap allocations, both on the
 //! cache-hit path and on the pure-inference path (cache disabled).
 
-use gcwc::{
-    build_samples, AGcwcModel, CompletionModel, GcwcModel, ModelConfig, ShardedModel, TaskKind,
-    TrainSample,
-};
+use gcwc::{build_samples, AGcwcModel, CompletionModel, ModelConfig, TaskKind, TrainSample};
 use gcwc_bench::allocs::{count_allocs, CountingAlloc};
-use gcwc_graph::PartitionSet;
 use gcwc_serve::{AnyModel, Client, Engine, EngineConfig, ModelRegistry};
 use gcwc_traffic::{generators, simulate, HistogramSpec, SimConfig};
 use std::sync::Arc;
@@ -59,55 +55,6 @@ fn make_engine(cache_capacity: usize) -> (Arc<Engine>, Vec<TrainSample>) {
     (engine, samples)
 }
 
-/// A K=2 sharded engine with an N-replica group per shard, every slot
-/// independently loaded from the trained shard checkpoints — the
-/// replicated twin of [`make_engine`], for pinning that rendezvous
-/// routing and per-replica health checks stay off the heap.
-fn make_replicated_engine(
-    cache_capacity: usize,
-    replication: usize,
-) -> (Arc<Engine>, Vec<TrainSample>) {
-    gcwc_linalg::parallel::set_global_threads(1);
-    let hw = generators::highway_tollgate(1);
-    let sim = SimConfig {
-        days: 2,
-        intervals_per_day: 16,
-        records_per_interval: 10.0,
-        ..Default::default()
-    };
-    let data = simulate(&hw, HistogramSpec::hist8(), &sim);
-    let ds = data.to_dataset(0.5, 5, 11);
-    let idx: Vec<usize> = (0..ds.len()).collect();
-    let samples = build_samples(&ds, &idx, TaskKind::Estimation, 0);
-    let cfg = ModelConfig::hw_hist().with_epochs(2);
-    let partition = Arc::new(PartitionSet::build(&hw.graph, 2));
-    let mut sharded = ShardedModel::gcwc_on(Arc::clone(&partition), 8, cfg.clone(), 42);
-    sharded.fit_shards(&samples[..8]);
-    let dir = std::env::temp_dir().join("gcwc_serve_alloc_replica");
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    let (_, shards) = sharded.into_shards();
-    let factories = (0..partition.num_partitions())
-        .map(|k| {
-            let graph = partition.partition(k).graph().clone();
-            let cfg = cfg.clone();
-            let f: Box<dyn Fn() -> AnyModel + Send + Sync> =
-                Box::new(move || AnyModel::Gcwc(GcwcModel::new(&graph, 8, cfg.clone(), 0)));
-            f
-        })
-        .collect();
-    let registry = Arc::new(ModelRegistry::sharded_replicated(factories, &partition, replication));
-    for (k, shard) in shards.iter().enumerate() {
-        let path = dir.join(format!("alloc.shard{k}.ckpt"));
-        shard.save(&path).expect("save checkpoint");
-        registry.load_shard(k, &path).expect("load checkpoint");
-    }
-    let engine = Arc::new(Engine::new(
-        registry,
-        EngineConfig { workers: 0, max_batch: 4, cache_capacity, ..Default::default() },
-    ));
-    (engine, samples)
-}
-
 /// One inline round trip: the exact steady-state serving step.
 fn request(engine: &Engine, client: &mut Client, sample: &TrainSample) {
     let mut input = client.input_buffer();
@@ -120,14 +67,6 @@ fn request(engine: &Engine, client: &mut Client, sample: &TrainSample) {
 
 fn assert_steady_state_is_alloc_free(cache_capacity: usize, label: &str) {
     let (engine, samples) = make_engine(cache_capacity);
-    assert_engine_steady_state_is_alloc_free(engine, samples, label);
-}
-
-fn assert_engine_steady_state_is_alloc_free(
-    engine: Arc<Engine>,
-    samples: Vec<TrainSample>,
-    label: &str,
-) {
     let mut client = engine.client();
     let pool = &samples[..4.min(samples.len())];
 
@@ -160,22 +99,6 @@ fn steady_state_inference_requests_perform_zero_allocations() {
     // cache_capacity 0 disables the cache entirely: every request runs
     // the tape-free batched forward pass.
     assert_steady_state_is_alloc_free(0, "pure-inference");
-}
-
-#[test]
-fn replicated_steady_state_cache_hit_requests_perform_zero_allocations() {
-    // Rendezvous routing is pure integer math and the per-replica
-    // breaker check is non-mutating, so an N=2 group must serve the
-    // cached steady state without touching the heap.
-    let (engine, samples) = make_replicated_engine(256, 2);
-    assert_eq!(engine.stats().replicas, 2);
-    assert_engine_steady_state_is_alloc_free(engine, samples, "replicated cache-hit");
-}
-
-#[test]
-fn replicated_steady_state_inference_requests_perform_zero_allocations() {
-    let (engine, samples) = make_replicated_engine(0, 2);
-    assert_engine_steady_state_is_alloc_free(engine, samples, "replicated pure-inference");
 }
 
 #[test]

@@ -23,7 +23,6 @@ use crate::cache::{input_signature, CacheKey, CompletionCache};
 use crate::health::{Admission, BreakerConfig, ShardHealth};
 use crate::queue::{BoundedQueue, PushError};
 use crate::registry::ModelRegistry;
-use crate::replica::{self, Replica};
 use crate::{derive_row_flags, failsite, ServeError};
 use gcwc::{InferRequest, InferWorkspace, OutputKind};
 use gcwc_linalg::Matrix;
@@ -94,11 +93,9 @@ pub struct Completion {
 
 /// Bounded client-side retry: exponential backoff with deterministic
 /// jitter, applied by [`Client::complete`] to *retryable* failures
-/// only — a full queue ([`ServeError::Overloaded`]), a restarting
-/// worker ([`ServeError::ShardRestarting`]), or a replica group
-/// mid-failover ([`ServeError::ReplicaFailingOver`], where the retry
-/// lands on the freshly promoted replica). A missed deadline is never
-/// retried: the caller's time budget is already spent.
+/// only — a full queue ([`ServeError::Overloaded`]) or a restarting
+/// worker ([`ServeError::ShardRestarting`]). A missed deadline is
+/// never retried: the caller's time budget is already spent.
 #[derive(Clone, Copy, Debug)]
 pub struct RetryPolicy {
     /// Total attempts, including the first (`1` disables retry).
@@ -146,10 +143,7 @@ impl RetryPolicy {
     }
 
     fn retryable(e: &ServeError) -> bool {
-        matches!(
-            e,
-            ServeError::Overloaded | ServeError::ShardRestarting | ServeError::ReplicaFailingOver
-        )
+        matches!(e, ServeError::Overloaded | ServeError::ShardRestarting)
     }
 }
 
@@ -264,8 +258,6 @@ struct Counters {
     breaker_open: AtomicU64,
     degraded_responses: AtomicU64,
     retries: AtomicU64,
-    replica_failovers: AtomicU64,
-    replica_promotions: AtomicU64,
 }
 
 /// Shared counters of the streaming-ingestion pipeline (`gcwc-ingest`
@@ -386,22 +378,12 @@ pub struct StatsSnapshot {
     /// the `serve.tenant.quota` failpoint armed). `0` for a legacy
     /// engine — quotas exist only at the tenant layer.
     pub quota_rejected: u64,
-    /// Replicas per shard (N) in the served snapshot — a gauge, `1`
-    /// for an unreplicated registry.
-    pub replicas: u64,
-    /// Times a shard group's misses were re-routed to another replica
-    /// after a failed or denied attempt.
-    pub replica_failovers: u64,
-    /// Successful warm-standby promotions (a tripped replica slot
-    /// atomically replaced under a fresh ordinal).
-    pub replica_promotions: u64,
 }
 
 impl StatsSnapshot {
     /// Number of `u64` fields in the per-tenant serialization (the 20
-    /// legacy counters plus `graph_generation` and `quota_rejected`,
-    /// plus the three trailing replica fields).
-    pub const TENANT_FIELDS: usize = 25;
+    /// legacy counters plus `graph_generation` and `quota_rejected`).
+    pub const TENANT_FIELDS: usize = 22;
 
     /// Canonical per-tenant field order, shared by the text (`tstats`)
     /// and binary (`RespTStats`) protocols — both serialize exactly
@@ -431,9 +413,6 @@ impl StatsSnapshot {
             self.generation_age,
             self.graph_generation,
             self.quota_rejected,
-            self.replicas,
-            self.replica_failovers,
-            self.replica_promotions,
         ]
     }
 
@@ -462,9 +441,6 @@ impl StatsSnapshot {
             generation_age: f[19],
             graph_generation: f[20],
             quota_rejected: f[21],
-            replicas: f[22],
-            replica_failovers: f[23],
-            replica_promotions: f[24],
         }
     }
 }
@@ -479,12 +455,8 @@ struct WorkerState {
     all_hit: Vec<bool>,
     /// Per-shard scratch: batch indices of the current shard's misses.
     miss_idx: Vec<usize>,
-    /// Per-shard scratch: routed replica slot per miss (parallel to
-    /// `miss_idx`).
-    slots: Vec<usize>,
-    /// Per-group scratch: the batch indices of the misses routed to
-    /// the replica slot currently being served.
-    grp: Vec<usize>,
+    /// Per-shard scratch: cache keys of the current shard's misses.
+    keys: Vec<CacheKey>,
     flags: Vec<Vec<f64>>,
     /// Localised (owned + halo rows) inputs for non-identity shards.
     local_ins: Vec<Matrix>,
@@ -499,8 +471,7 @@ impl WorkerState {
             sigs: Vec::with_capacity(max_batch),
             all_hit: Vec::with_capacity(max_batch),
             miss_idx: Vec::with_capacity(max_batch),
-            slots: Vec::with_capacity(max_batch),
-            grp: Vec::with_capacity(max_batch),
+            keys: Vec::with_capacity(max_batch),
             flags: std::iter::repeat_with(Vec::new).take(max_batch).collect(),
             local_ins: Vec::new(),
             outs: Vec::new(),
@@ -515,17 +486,11 @@ struct EngineInner {
     counters: Counters,
     cfg: EngineConfig,
     inline_state: Mutex<WorkerState>,
-    /// Circuit breaker per replica slot: `health[k][slot]`. The shard
-    /// only degrades when every slot of its group is open.
-    health: Vec<Vec<ShardHealth>>,
+    /// Per-shard circuit breaker.
+    health: Vec<ShardHealth>,
     /// Per-shard failpoint site names, precomputed so the hot path
     /// never formats (allocation-free evaluation).
     forward_sites: Vec<String>,
-    /// Per-replica-slot failpoint site names, cached by the slot's
-    /// current ordinal and reformatted only when a promotion changes
-    /// it — so the steady-state failpoints-enabled path never formats.
-    /// Entirely skipped when the `failpoints` feature is off.
-    replica_sites: Mutex<Vec<Vec<(u64, String)>>>,
     /// Ingestion counters, attached once by the streaming pipeline
     /// (absent — all-zero in stats — for a purely static deployment).
     ingest: OnceLock<Arc<IngestStats>>,
@@ -541,7 +506,7 @@ impl EngineInner {
         let num_shards = snapshot.num_shards();
         let (n, m) = (snapshot.num_edges(), snapshot.num_buckets());
         let out_cols = snapshot.output_cols();
-        let WorkerState { ws, batch, sigs, all_hit, miss_idx, slots, grp, flags, local_ins, outs } =
+        let WorkerState { ws, batch, sigs, all_hit, miss_idx, keys, flags, local_ins, outs } =
             state;
         sigs.clear();
         all_hit.clear();
@@ -575,44 +540,24 @@ impl EngineInner {
         }
 
         // Phase 2: route through every shard — lookups, one coalesced
-        // forward pass per replica group with misses (each attempt
-        // gated by that replica's circuit breaker and contained by
-        // `catch_unwind`), cache fills, owned-row scatter. Misses
-        // route to one replica of the shard's group by rendezvous
-        // hashing on their cache-key content; a replica that cannot
-        // compute — open breaker, injected error, or panic — *fails
-        // over* to the next routable replica, and only a shard whose
-        // whole group is exhausted is *degraded*: its misses' owned
-        // rows are filled with the row-prior P(Z) and the response is
-        // flagged, while every other shard's rows stay bit-identical.
-        // With N = 1 the group is one replica, routing is the
-        // identity, and the path reduces to the unreplicated pipeline
-        // bit for bit.
+        // forward pass per shard with misses (gated by the shard's
+        // circuit breaker and contained by `catch_unwind`), cache
+        // fills, owned-row scatter. A shard that cannot compute —
+        // open breaker, injected error, or panic — is *degraded*
+        // instead of fatal: its misses' owned rows are filled with
+        // the row-prior P(Z) and the response is flagged, while every
+        // other shard's rows stay bit-identical.
         for s in 0..num_shards {
-            let group = snapshot.group(s);
-            let n_rep = group.len();
+            let shard = snapshot.shard(s);
             let view = snapshot.view(s);
             miss_idx.clear();
-            slots.clear();
-            let route_now = Instant::now();
+            keys.clear();
             {
                 let mut cache = self.caches[s].lock().unwrap_or_else(PoisonError::into_inner);
                 for i in 0..batch.len() {
                     let Some(job) = batch[i].as_mut() else { continue };
-                    // Route among currently routable replicas so a key
-                    // whose owner is cooling down looks up (and later
-                    // fills) the survivor's cache. With every breaker
-                    // open, fall back to the full group: the owner's
-                    // `admit` below still decides probe vs degrade.
-                    let slot = if n_rep == 1 {
-                        0
-                    } else {
-                        let point = replica::route_point(job.time_of_day, job.day_of_week, sigs[i]);
-                        replica::select_by(point, group, |r| self.health[s][r].routable(route_now))
-                            .unwrap_or_else(|| replica::select(point, group))
-                    };
                     let key = CacheKey {
-                        generation: group[slot].shard.generation,
+                        generation: shard.generation,
                         time_of_day: job.time_of_day,
                         day_of_week: job.day_of_week,
                         signature: sigs[i],
@@ -621,8 +566,8 @@ impl EngineInner {
                         // Cached value is the shard's owned row block.
                         view.scatter_owned(cached, &mut job.out_buf);
                     } else {
+                        keys.push(key);
                         miss_idx.push(i);
-                        slots.push(slot);
                         all_hit[i] = false;
                     }
                 }
@@ -631,174 +576,99 @@ impl EngineInner {
                 continue;
             }
 
+            // Breaker gate: while shard `s` cools down after repeated
+            // failures its misses are degraded without attempting the
+            // forward pass. Cached rows above were still served
+            // exactly — only uncomputable rows carry the prior.
+            if self.health[s].admit(Instant::now()) == Admission::Deny {
+                degrade_misses(batch, miss_idx, view, shard);
+                continue;
+            }
+
+            let count = miss_idx.len();
             let local_n = view.num_local();
             let identity = view.is_identity();
-            // Serve each routed slot's misses as one coalesced group,
-            // failing over along the remaining routable slots.
-            for lead in 0..n_rep {
-                grp.clear();
-                for (j, &i) in miss_idx.iter().enumerate() {
-                    if slots[j] == lead {
-                        grp.push(i);
+            if !identity {
+                for slot in local_ins.iter_mut() {
+                    if slot.shape() != (local_n, m) {
+                        let stale = std::mem::replace(slot, ws.take(local_n, m));
+                        ws.give(stale);
                     }
                 }
-                if grp.is_empty() {
-                    continue;
+                while local_ins.len() < count {
+                    let fresh = ws.take(local_n, m);
+                    local_ins.push(fresh);
                 }
-                let count = grp.len();
-                let mut prepared = false;
-                let mut attempted: u64 = 0;
-                let mut cur = lead;
-                let mut served = false;
-                let mut promoted = false;
-                loop {
-                    attempted |= 1 << cur;
-                    // Breaker gate per replica: while `cur` cools down
-                    // its attempt is skipped without a forward pass.
-                    // Cached rows above were still served exactly.
-                    if self.health[s][cur].admit(Instant::now()) == Admission::Allow {
-                        if !prepared {
-                            if !identity {
-                                for buf in local_ins.iter_mut() {
-                                    if buf.shape() != (local_n, m) {
-                                        let stale = std::mem::replace(buf, ws.take(local_n, m));
-                                        ws.give(stale);
-                                    }
-                                }
-                                while local_ins.len() < count {
-                                    let fresh = ws.take(local_n, m);
-                                    local_ins.push(fresh);
-                                }
-                            }
-                            for (r, &i) in grp.iter().enumerate() {
-                                let job = batch[i].as_ref().expect("miss slots are live");
-                                if identity {
-                                    derive_row_flags(&job.input, &mut flags[r]);
-                                } else {
-                                    view.select_into(&job.input, &mut local_ins[r]);
-                                    derive_row_flags(&local_ins[r], &mut flags[r]);
-                                }
-                            }
-                            for buf in outs.iter_mut() {
-                                if buf.shape() != (local_n, out_cols) {
-                                    let stale = std::mem::replace(buf, ws.take(local_n, out_cols));
-                                    ws.give(stale);
-                                }
-                            }
-                            while outs.len() < count {
-                                let fresh = ws.take(local_n, out_cols);
-                                outs.push(fresh);
-                            }
-                            prepared = true;
-                        }
-                        let rep = &group[cur];
-                        // The forward pass runs contained: a panic
-                        // inside it (a poisoned kernel, an armed
-                        // `panic` failpoint) or an injected `err`
-                        // marks this replica's attempt failed instead
-                        // of unwinding the worker. The workspace only
-                        // holds pooled scratch, so abandoning it
-                        // mid-pass is safe (worst case a few pooled
-                        // buffers leak back to the allocator).
-                        let forward_ok = {
-                            let batch_ref: &Vec<Option<Job>> = batch;
-                            let grp_ref: &Vec<usize> = grp;
-                            let flags_ref: &Vec<Vec<f64>> = flags;
-                            let local_ref: &Vec<Matrix> = local_ins;
-                            let outs_ref: &mut [Matrix] = &mut outs[..count];
-                            let ordinal = rep.ordinal;
-                            catch_unwind(AssertUnwindSafe(|| {
-                                if gcwc_failpoint::triggered(&self.forward_sites[s]) {
-                                    return false; // injected shard-wide failure
-                                }
-                                if self.replica_forward_triggered(s, cur, ordinal) {
-                                    return false; // injected replica kill
-                                }
-                                rep.shard.model.infer_into(
-                                    ws,
-                                    count,
-                                    |r| {
-                                        let job = batch_ref[grp_ref[r]]
-                                            .as_ref()
-                                            .expect("miss slots are live");
-                                        InferRequest {
-                                            input: if identity {
-                                                &job.input
-                                            } else {
-                                                &local_ref[r]
-                                            },
-                                            time_of_day: job.time_of_day,
-                                            day_of_week: job.day_of_week,
-                                            row_flags: &flags_ref[r],
-                                        }
-                                    },
-                                    outs_ref,
-                                );
-                                true
-                            }))
-                            .unwrap_or(false)
-                        };
-                        if forward_ok {
-                            self.health[s][cur].record_success();
-                            self.counters.batches.fetch_add(1, Ordering::Relaxed);
-                            let mut cache =
-                                self.caches[s].lock().unwrap_or_else(PoisonError::into_inner);
-                            for (r, &i) in grp.iter().enumerate() {
-                                let job = batch[i].as_mut().expect("miss slots are live");
-                                // Keyed by the *serving* replica's
-                                // generation: routing is a pure
-                                // function of the key and the health
-                                // set, so the next identical request
-                                // looks this entry up on this replica.
-                                let key = CacheKey {
-                                    generation: rep.shard.generation,
-                                    time_of_day: job.time_of_day,
-                                    day_of_week: job.day_of_week,
-                                    signature: sigs[i],
-                                };
-                                cache.insert_rows(key, &outs[r], view.num_owned());
-                                view.scatter_owned(&outs[r], &mut job.out_buf);
-                            }
-                            served = true;
-                            break;
-                        }
-                        if self.health[s][cur].record_failure(Instant::now()) {
-                            self.counters.breaker_open.fetch_add(1, Ordering::Relaxed);
-                            // Warm-standby promotion: the slot's
-                            // breaker just tripped — rebuild it under
-                            // a fresh ordinal. N = 1 keeps the legacy
-                            // degrade-and-probe behavior instead.
-                            if n_rep > 1 && self.promote_slot(s, cur, group) {
-                                promoted = true;
-                            }
-                        }
-                    }
-                    let now = Instant::now();
-                    let next = (0..n_rep)
-                        .find(|&r| attempted & (1 << r) == 0 && self.health[s][r].routable(now));
-                    match next {
-                        Some(r) => {
-                            self.counters.replica_failovers.fetch_add(1, Ordering::Relaxed);
-                            cur = r;
-                        }
-                        None => break,
-                    }
+            }
+            for (r, &i) in miss_idx.iter().enumerate() {
+                let job = batch[i].as_ref().expect("miss slots are live");
+                if identity {
+                    derive_row_flags(&job.input, &mut flags[r]);
+                } else {
+                    view.select_into(&job.input, &mut local_ins[r]);
+                    derive_row_flags(&local_ins[r], &mut flags[r]);
                 }
-                if !served {
-                    if promoted {
-                        // Every routable replica failed this batch but
-                        // a promotion succeeded: answer retryable so
-                        // the re-send lands on the fresh incarnation
-                        // instead of pinning the prior into responses.
-                        for &i in grp.iter() {
-                            if let Some(job) = batch[i].take() {
-                                self.counters.completed.fetch_add(1, Ordering::Relaxed);
-                                job.respond(Err(ServeError::ReplicaFailingOver));
-                            }
-                        }
-                    } else {
-                        degrade_misses(batch, grp, view, group[lead].shard.as_ref());
+            }
+            for slot in outs.iter_mut() {
+                if slot.shape() != (local_n, out_cols) {
+                    let stale = std::mem::replace(slot, ws.take(local_n, out_cols));
+                    ws.give(stale);
+                }
+            }
+            while outs.len() < count {
+                let fresh = ws.take(local_n, out_cols);
+                outs.push(fresh);
+            }
+            // The forward pass runs contained: a panic inside it (a
+            // poisoned kernel, an armed `panic` failpoint) or an
+            // injected `err` marks this shard's attempt failed instead
+            // of unwinding the worker. The workspace only holds pooled
+            // scratch, so abandoning it mid-pass is safe (worst case a
+            // few pooled buffers leak back to the allocator).
+            let forward_ok = {
+                let batch_ref: &Vec<Option<Job>> = batch;
+                let miss_ref: &Vec<usize> = miss_idx;
+                let flags_ref: &Vec<Vec<f64>> = flags;
+                let local_ref: &Vec<Matrix> = local_ins;
+                let outs_ref: &mut [Matrix] = &mut outs[..count];
+                catch_unwind(AssertUnwindSafe(|| {
+                    if gcwc_failpoint::triggered(&self.forward_sites[s]) {
+                        return false; // injected forward failure
                     }
+                    shard.model.infer_into(
+                        ws,
+                        count,
+                        |r| {
+                            let job = batch_ref[miss_ref[r]].as_ref().expect("miss slots are live");
+                            InferRequest {
+                                input: if identity { &job.input } else { &local_ref[r] },
+                                time_of_day: job.time_of_day,
+                                day_of_week: job.day_of_week,
+                                row_flags: &flags_ref[r],
+                            }
+                        },
+                        outs_ref,
+                    );
+                    true
+                }))
+                .unwrap_or(false)
+            };
+            if !forward_ok {
+                if self.health[s].record_failure(Instant::now()) {
+                    self.counters.breaker_open.fetch_add(1, Ordering::Relaxed);
+                }
+                degrade_misses(batch, miss_idx, view, shard);
+                continue;
+            }
+            self.health[s].record_success();
+            self.counters.batches.fetch_add(1, Ordering::Relaxed);
+
+            {
+                let mut cache = self.caches[s].lock().unwrap_or_else(PoisonError::into_inner);
+                for (r, &i) in miss_idx.iter().enumerate() {
+                    let job = batch[i].as_mut().expect("miss slots are live");
+                    cache.insert_rows(keys[r], &outs[r], view.num_owned());
+                    view.scatter_owned(&outs[r], &mut job.out_buf);
                 }
             }
         }
@@ -859,46 +729,6 @@ impl EngineInner {
             self.batch_and_serve(job, state);
         }
     }
-
-    /// Evaluates the per-replica kill site for shard `s`'s `slot`,
-    /// currently incarnated as `ordinal`. The formatted site name is
-    /// cached per slot and only rebuilt when the ordinal changes (a
-    /// promotion), so the armed steady state never formats; without
-    /// the `failpoints` feature the whole check compiles out.
-    fn replica_forward_triggered(&self, s: usize, slot: usize, ordinal: u64) -> bool {
-        if !gcwc_failpoint::ENABLED {
-            return false;
-        }
-        let mut sites = self.replica_sites.lock().unwrap_or_else(PoisonError::into_inner);
-        let entry = &mut sites[s][slot];
-        if entry.0 != ordinal {
-            entry.1 = match self.cfg.tenant_site {
-                Some(t) => failsite::tenant_replica_forward(t, ordinal),
-                None => failsite::replica_forward(ordinal),
-            };
-            entry.0 = ordinal;
-        }
-        gcwc_failpoint::triggered(&entry.1)
-    }
-
-    /// Warm-standby promotion of shard `s`'s tripped `slot`: re-runs
-    /// the checkpoint load (or shares a routable donor's shard) into
-    /// the slot under a fresh ordinal, atomically swaps the snapshot,
-    /// and resets the slot's breaker for the new incarnation. Returns
-    /// whether the promotion succeeded; on failure the slot stays open
-    /// and the next breaker trip retries.
-    fn promote_slot(&self, s: usize, slot: usize, group: &[Replica]) -> bool {
-        let now = Instant::now();
-        let donor = (0..group.len()).find(|&r| r != slot && self.health[s][r].routable(now));
-        match self.registry.promote_replica(s, slot, donor) {
-            Ok(_) => {
-                self.health[s][slot].reset();
-                self.counters.replica_promotions.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            Err(_) => false,
-        }
-    }
 }
 
 /// Fills the owned rows of every cache-missing request of a shard
@@ -938,25 +768,15 @@ impl Engine {
     pub fn new(registry: Arc<ModelRegistry>, cfg: EngineConfig) -> Self {
         let max_batch = cfg.max_batch.max(1);
         let num_shards = registry.num_shards();
-        let replication = registry.replication();
         let caches =
             (0..num_shards).map(|_| Mutex::new(CompletionCache::new(cfg.cache_capacity))).collect();
-        let health = (0..num_shards)
-            .map(|_| (0..replication).map(|_| ShardHealth::new(cfg.breaker)).collect())
-            .collect();
+        let health = (0..num_shards).map(|_| ShardHealth::new(cfg.breaker)).collect();
         let forward_sites = (0..num_shards)
             .map(|k| match cfg.tenant_site {
                 Some(t) => failsite::tenant_shard_forward(t, k),
                 None => failsite::shard_forward(k),
             })
             .collect();
-        // Lazily formatted on first evaluation: ordinal u64::MAX never
-        // names a real incarnation.
-        let replica_sites = Mutex::new(
-            (0..num_shards)
-                .map(|_| (0..replication).map(|_| (u64::MAX, String::new())).collect())
-                .collect(),
-        );
         let inner = Arc::new(EngineInner {
             queue: BoundedQueue::new(cfg.queue_capacity),
             caches,
@@ -966,7 +786,6 @@ impl Engine {
             inline_state: Mutex::new(WorkerState::new(max_batch)),
             health,
             forward_sites,
-            replica_sites,
             ingest: OnceLock::new(),
         });
         let mut workers = Vec::with_capacity(cfg.workers);
@@ -1152,9 +971,6 @@ impl Engine {
             // The tenant layer owns these two; Tenant::stats overwrites.
             graph_generation: 0,
             quota_rejected: 0,
-            replicas: self.inner.registry.replication() as u64,
-            replica_failovers: c.replica_failovers.load(Ordering::Relaxed),
-            replica_promotions: c.replica_promotions.load(Ordering::Relaxed),
         }
     }
 
@@ -1165,18 +981,10 @@ impl Engine {
         let _ = self.inner.ingest.set(stats);
     }
 
-    /// True while shard `k` cannot serve regular traffic: every
-    /// replica of its group has an open (or probing) breaker. On an
-    /// unreplicated engine this is the single breaker's state, exactly
-    /// as before replication existed.
+    /// True while shard `k`'s circuit breaker denies regular traffic
+    /// (open or half-open with a probe in flight).
     pub fn shard_breaker_open(&self, k: usize) -> bool {
-        self.inner.health[k].iter().all(ShardHealth::is_open)
-    }
-
-    /// True while the breaker of shard `k`'s replica `slot` denies
-    /// regular traffic (open or half-open with a probe in flight).
-    pub fn replica_breaker_open(&self, k: usize, slot: usize) -> bool {
-        self.inner.health[k][slot].is_open()
+        self.inner.health[k].is_open()
     }
 
     /// Graceful shutdown: closes the queue (new sends fail with

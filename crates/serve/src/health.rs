@@ -131,27 +131,6 @@ impl ShardHealth {
     pub fn is_open(&self) -> bool {
         !matches!(*self.lock(), State::Closed { .. })
     }
-
-    /// Non-mutating routing view of the breaker: `true` when a request
-    /// routed here at `now` could be admitted — the breaker is closed,
-    /// or it is open but the cooldown has elapsed (the request would be
-    /// admitted as the half-open probe). Unlike [`ShardHealth::admit`]
-    /// this never consumes the probe, so the router may evaluate every
-    /// replica of a group without racing the probe away.
-    pub fn routable(&self, now: Instant) -> bool {
-        match *self.lock() {
-            State::Closed { .. } => true,
-            State::Open { until } => now >= until,
-            State::HalfOpen => false,
-        }
-    }
-
-    /// Resets the breaker to closed with a clean failure streak — the
-    /// state for a freshly promoted replica incarnation, whose history
-    /// does not inherit its predecessor's failures.
-    pub fn reset(&self) {
-        *self.lock() = State::Closed { consecutive_failures: 0 };
-    }
 }
 
 #[cfg(test)]

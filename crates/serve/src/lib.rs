@@ -43,7 +43,6 @@ pub mod health;
 pub mod protocol;
 pub mod queue;
 pub mod registry;
-pub mod replica;
 pub mod server;
 pub mod sys;
 pub mod tenant;
@@ -57,7 +56,6 @@ pub use engine::{
 pub use health::{Admission, BreakerConfig, ShardHealth};
 pub use queue::BoundedQueue;
 pub use registry::{AnyModel, ModelRegistry, ModelShard, ModelSnapshot, TopologyUpdate};
-pub use replica::Replica;
 pub use server::{BinClient, Server, ServerConfig, TcpClient};
 pub use tenant::{QuotaConfig, Tenant, TenantId, TenantRegistry, TokenBucket};
 
@@ -91,10 +89,6 @@ pub mod failsite {
     pub const REGISTRY_LOAD: &str = "serve.registry.load";
     /// In-process model install into a shard (panic/delay site).
     pub const REGISTRY_INSTALL: &str = "serve.registry.install";
-    /// Warm-standby promotion of a replica slot: `err` fails the
-    /// promotion (the tripped replica stays open and the group keeps
-    /// serving on its survivors; the next breaker trip retries).
-    pub const REPLICA_PROMOTE: &str = "serve.replica.promote";
 
     /// Per-tenant quota admission: a triggered site rejects the
     /// request with [`crate::ServeError::QuotaExceeded`] as if the
@@ -118,25 +112,6 @@ pub mod failsite {
     pub fn tenant_shard_forward(tenant: u64, k: usize) -> String {
         format!("serve.t{tenant}.shard{k}.forward")
     }
-
-    /// Per-replica batched forward, keyed by the replica's **ordinal**
-    /// (its monotonic incarnation id, not its slot index): `err` fails
-    /// the attempt, `panic` unwinds into the containment
-    /// `catch_unwind` — either way that replica's breaker records a
-    /// failure and the batch fails over to the next routable replica
-    /// of the group. A promotion assigns the slot a fresh ordinal, so
-    /// a persistently armed kill site never follows the successor.
-    pub fn replica_forward(ordinal: u64) -> String {
-        format!("serve.replica{ordinal}.forward")
-    }
-
-    /// Tenant-tagged variant of [`replica_forward`]
-    /// (`serve.t<id>.replica<ordinal>.forward`), mirroring
-    /// [`tenant_shard_forward`] so chaos schedules can kill one
-    /// tenant's replicas without touching any other tenant's groups.
-    pub fn tenant_replica_forward(tenant: u64, ordinal: u64) -> String {
-        format!("serve.t{tenant}.replica{ordinal}.forward")
-    }
 }
 
 /// Everything that can go wrong while serving a completion request.
@@ -152,10 +127,6 @@ pub enum ServeError {
     /// request was not served. Safe to retry (the forward pass never
     /// produced a response).
     ShardRestarting,
-    /// Every replica of a shard's group failed this batch, but a
-    /// warm-standby promotion succeeded — the request was not served,
-    /// and an immediate retry lands on the freshly promoted replica.
-    ReplicaFailingOver,
     /// The request is malformed (wrong shape, out-of-range context…).
     BadRequest(String),
     /// The tenant's request quota is exhausted (token bucket empty) —
@@ -178,7 +149,6 @@ impl std::fmt::Display for ServeError {
             ServeError::DeadlineExceeded => write!(f, "deadline exceeded"),
             ServeError::ShuttingDown => write!(f, "server shutting down"),
             ServeError::ShardRestarting => write!(f, "worker restarting; retry"),
-            ServeError::ReplicaFailingOver => write!(f, "replica failing over; retry"),
             ServeError::BadRequest(m) => write!(f, "bad request: {m}"),
             ServeError::QuotaExceeded => write!(f, "per-tenant quota exhausted"),
             ServeError::UnknownTenant(id) => write!(f, "tenant {id} is not registered"),
@@ -213,7 +183,6 @@ impl ServeError {
             ServeError::DeadlineExceeded => "deadline",
             ServeError::ShuttingDown => "shutdown",
             ServeError::ShardRestarting => "restarting",
-            ServeError::ReplicaFailingOver => "failing_over",
             ServeError::BadRequest(_) => "bad_request",
             ServeError::QuotaExceeded => "quota",
             ServeError::UnknownTenant(_) => "unknown_tenant",

@@ -22,12 +22,10 @@
 //!       <worker_restarts> <breaker_open> <degraded_responses> <retries>
 //!       <records_ingested> <slots_sealed> <late_records_dropped>
 //!       <refreshes_applied> <refreshes_rolled_back> <generation_age>
-//!       <replicas> <replica_failovers> <replica_promotions>
-//! tstats <tenant> <25 fields: requests completed batches rejected expired hits misses
+//! tstats <tenant> <22 fields: requests completed batches rejected expired hits misses
 //!        evictions generation shards worker_restarts breaker_open degraded_responses
 //!        retries records_ingested slots_sealed late_records_dropped refreshes_applied
-//!        refreshes_rolled_back generation_age graph_generation quota_rejected
-//!        replicas replica_failovers replica_promotions>
+//!        refreshes_rolled_back generation_age graph_generation quota_rejected>
 //! pong
 //! bye
 //! err <code> <message…>
@@ -39,10 +37,9 @@
 //! clients detect topology swaps. The legacy tenant-less forms map to
 //! the default tenant (id 0) with byte-identical responses, so
 //! single-tenant deployments are unaffected. `tstats` reports the full
-//! 25-field [`StatsSnapshot`] in declaration order (the legacy `stats`
-//! line keeps its historical prefix — which skips `rejected`,
-//! `expired`, and the two tenant-layer fields — plus the three
-//! trailing replica counters, 21 fields in all).
+//! 22-field [`StatsSnapshot`] in declaration order (the legacy `stats`
+//! line keeps its historical 18 fields, which skip `rejected`,
+//! `expired`, and the two tenant-layer fields).
 //!
 //! `degraded` has the exact layout of `ok` but signals a *partial*
 //! completion: at least one shard could not compute and its owned
@@ -100,7 +97,7 @@ pub enum Request {
     },
     /// Report engine counters.
     Stats,
-    /// Report one tenant's counters (all 25 snapshot fields).
+    /// Report one tenant's counters (all 22 snapshot fields).
     TStats {
         /// Target tenant id.
         tenant: u64,
@@ -140,20 +137,27 @@ fn parse_complete_body(
     if tokens.next().is_some() {
         return Err(ServeError::Protocol("trailing tokens after matrix".into()));
     }
-    // Observed rows are (unnormalised) histogram mass. A row
-    // whose entries cancel to exactly zero mass while carrying
-    // negative entries is indistinguishable from a missing row
-    // by total mass but not all-missing — normalisation would
-    // divide by zero downstream. Reject it as malformed.
-    for r in 0..rows {
-        let row = &data[r * cols..(r + 1) * cols];
-        if row.iter().sum::<f64>() == 0.0 && row.iter().any(|&v| v < 0.0) {
-            return Err(ServeError::Protocol(format!(
-                "row {r} has zero total mass but negative entries"
-            )));
-        }
+    if let Some(r) = zero_mass_negative_row(&data, cols) {
+        return Err(ServeError::Protocol(format!(
+            "row {r} has zero total mass but negative entries"
+        )));
     }
     Ok((time_of_day, day_of_week, Matrix::from_vec(rows, cols, data)))
+}
+
+/// The first `cols`-wide row of `data` whose entries cancel to exactly
+/// zero mass while carrying negative entries. Observed rows are
+/// (unnormalised) histogram mass, so such a row is indistinguishable
+/// from a missing row by total mass but not all-missing —
+/// normalisation would divide by zero downstream; both protocols
+/// reject it as malformed. The scan walks `data`, not the declared row
+/// count, so a huge row count with zero columns costs nothing.
+pub(crate) fn zero_mass_negative_row(data: &[f64], cols: usize) -> Option<usize> {
+    if cols == 0 {
+        return None;
+    }
+    data.chunks_exact(cols)
+        .position(|row| row.iter().sum::<f64>() == 0.0 && row.iter().any(|&v| v < 0.0))
 }
 
 /// Parses one request line.
@@ -269,14 +273,13 @@ pub fn write_err(buf: &mut String, err: &ServeError) {
 
 /// Renders the `stats` response line (no trailing newline). The six
 /// ingestion fields (records ingested, slots sealed, late drops,
-/// refreshes applied / rolled back, generation age) and the three
-/// replica fields (replicas, failovers, promotions) trail the original
+/// refreshes applied / rolled back, generation age) trail the original
 /// serving counters so existing positional consumers keep working.
 pub fn write_stats(buf: &mut String, s: &StatsSnapshot) {
     use std::fmt::Write;
     let _ = write!(
         buf,
-        "stats {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
+        "stats {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
         s.requests,
         s.completed,
         s.batches,
@@ -294,10 +297,7 @@ pub fn write_stats(buf: &mut String, s: &StatsSnapshot) {
         s.late_records_dropped,
         s.refreshes_applied,
         s.refreshes_rolled_back,
-        s.generation_age,
-        s.replicas,
-        s.replica_failovers,
-        s.replica_promotions
+        s.generation_age
     );
 }
 
@@ -431,7 +431,6 @@ pub(crate) fn remote_error(code: &str, message: &str) -> ServeError {
         "deadline" => ServeError::DeadlineExceeded,
         "shutdown" => ServeError::ShuttingDown,
         "restarting" => ServeError::ShardRestarting,
-        "failing_over" => ServeError::ReplicaFailingOver,
         "bad_request" => ServeError::BadRequest(message.to_owned()),
         "quota" => ServeError::QuotaExceeded,
         // `tenant <id> is not registered` — recover the id when the
@@ -524,6 +523,9 @@ mod tests {
         let mut line = String::from("complete 0 0 1 2");
         write_matrix_hex(&mut line, &missing);
         assert!(parse_request(&line).is_ok());
+        // Zero columns carry no entries: the row scan must not walk
+        // the declared row count (here 2^64 - 1 rows would never end).
+        assert!(parse_request(&format!("complete 0 0 {} 0", usize::MAX)).is_ok());
     }
 
     #[test]

@@ -20,12 +20,11 @@
 //! keyed by per-shard generation) intact. In-flight batches keep
 //! serving the old snapshot via their [`Arc`] until they finish.
 
-use crate::replica::Replica;
 use crate::ServeError;
 use gcwc::{AGcwcModel, GcwcModel, InferRequest, InferWorkspace, OutputKind};
 use gcwc_graph::{PartitionSet, RowView};
 use gcwc_linalg::Matrix;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -117,15 +116,11 @@ pub struct ModelShard {
     /// (re)installed. Cache keys embed it, so hot-swapping one shard
     /// invalidates exactly that shard's cached completions.
     pub generation: u64,
-    /// The checkpoint this shard was loaded from, if any.
-    pub source: Option<PathBuf>,
 }
 
-/// One immutable generation of the served shard set. Each shard is
-/// backed by a replica group (N = 1 unless the registry was built with
-/// one of the `*_replicated` constructors).
+/// One immutable generation of the served shard set.
 pub struct ModelSnapshot {
-    groups: Vec<Vec<Replica>>,
+    shards: Vec<Arc<ModelShard>>,
     views: Arc<Vec<RowView>>,
     /// Global monotonic generation (0 = factory-fresh, untrained).
     /// Bumped on every shard swap.
@@ -138,24 +133,12 @@ pub struct ModelSnapshot {
 impl ModelSnapshot {
     /// Number of shards K.
     pub fn num_shards(&self) -> usize {
-        self.groups.len()
+        self.shards.len()
     }
 
-    /// Shard `k`'s primary replica (slot 0) — the whole group on an
-    /// unreplicated registry. Replica-aware callers use
-    /// [`ModelSnapshot::group`] and route per request.
+    /// One shard of the set.
     pub fn shard(&self, k: usize) -> &ModelShard {
-        &self.groups[k][0].shard
-    }
-
-    /// Shard `k`'s full replica group.
-    pub fn group(&self, k: usize) -> &[Replica] {
-        &self.groups[k]
-    }
-
-    /// Replicas per shard (N). Uniform across shards.
-    pub fn replication(&self) -> usize {
-        self.groups[0].len()
+        &self.shards[k]
     }
 
     /// Shard `k`'s local→global row view.
@@ -184,8 +167,8 @@ impl ModelSnapshot {
     /// # Panics
     /// Panics on a multi-shard snapshot.
     pub fn model(&self) -> &AnyModel {
-        assert_eq!(self.groups.len(), 1, "model() is single-shard only; use shard(k)");
-        &self.groups[0][0].shard.model
+        assert_eq!(self.shards.len(), 1, "model() is single-shard only; use shard(k)");
+        &self.shards[0].model
     }
 }
 
@@ -216,41 +199,21 @@ pub struct ModelRegistry {
     views: RwLock<Arc<Vec<RowView>>>,
     current: RwLock<Arc<ModelSnapshot>>,
     generation: AtomicU64,
-    /// Next replica incarnation id. Initial groups take `k * N + slot`
-    /// shard-major; promotions draw fresh ordinals from here.
-    next_ordinal: AtomicU64,
     num_shards: usize,
-    replication: usize,
 }
 
 impl ModelRegistry {
     /// Creates a single-shard registry (K = 1) serving a factory-fresh
     /// (untrained) model as generation 0 under an identity view.
     pub fn new(factory: ModelFactory) -> Self {
-        Self::new_replicated(factory, 1)
-    }
-
-    /// [`ModelRegistry::new`] with an N-replica group behind the
-    /// single shard. N = 1 is exactly `new`.
-    pub fn new_replicated(factory: ModelFactory, replication: usize) -> Self {
         let model = factory();
         let views = vec![RowView::identity(model.num_edges())];
-        Self::from_parts(vec![factory], views, vec![model], replication)
+        Self::from_parts(vec![factory], views, vec![model])
     }
 
     /// Creates a sharded registry: `factories[k]` builds shard `k`'s
     /// untrained model over `partition.partition(k)`'s local graph.
     pub fn sharded(factories: Vec<ModelFactory>, partition: &PartitionSet) -> Self {
-        Self::sharded_replicated(factories, partition, 1)
-    }
-
-    /// [`ModelRegistry::sharded`] with an N-replica group behind every
-    /// shard. N = 1 is exactly `sharded`.
-    pub fn sharded_replicated(
-        factories: Vec<ModelFactory>,
-        partition: &PartitionSet,
-        replication: usize,
-    ) -> Self {
         assert_eq!(
             factories.len(),
             partition.num_partitions(),
@@ -258,17 +221,15 @@ impl ModelRegistry {
         );
         let views: Vec<RowView> = partition.partitions().iter().map(|p| p.view().clone()).collect();
         let models: Vec<AnyModel> = factories.iter().map(|f| f()).collect();
-        Self::from_parts(factories, views, models, replication)
+        Self::from_parts(factories, views, models)
     }
 
     fn from_parts(
         factories: Vec<ModelFactory>,
         views: Vec<RowView>,
         models: Vec<AnyModel>,
-        replication: usize,
     ) -> Self {
         assert!(!models.is_empty(), "a registry needs at least one shard");
-        assert!(replication >= 1, "a replica group needs at least one slot");
         let n: usize = views.iter().map(RowView::num_owned).sum();
         let m = models[0].num_buckets();
         let out_cols = models[0].output_cols();
@@ -285,33 +246,10 @@ impl ModelRegistry {
         }
         let views = Arc::new(views);
         let num_shards = factories.len();
-        // Slot 0 of each group takes the pre-built model; extra slots
-        // are independently built from the shard's factory. Initial
-        // ordinals are shard-major: shard k's slots are k*N .. k*N+N.
-        let groups: Vec<Vec<Replica>> = models
-            .into_iter()
-            .enumerate()
-            .map(|(k, model)| {
-                let mut group = Vec::with_capacity(replication);
-                group.push(Replica {
-                    shard: Arc::new(ModelShard { model, generation: 0, source: None }),
-                    ordinal: (k * replication) as u64,
-                });
-                for slot in 1..replication {
-                    group.push(Replica {
-                        shard: Arc::new(ModelShard {
-                            model: (factories[k])(),
-                            generation: 0,
-                            source: None,
-                        }),
-                        ordinal: (k * replication + slot) as u64,
-                    });
-                }
-                group
-            })
-            .collect();
+        let shards =
+            models.into_iter().map(|model| Arc::new(ModelShard { model, generation: 0 })).collect();
         let snapshot = Arc::new(ModelSnapshot {
-            groups,
+            shards,
             views: Arc::clone(&views),
             generation: 0,
             n,
@@ -323,9 +261,7 @@ impl ModelRegistry {
             views: RwLock::new(views),
             current: RwLock::new(snapshot),
             generation: AtomicU64::new(0),
-            next_ordinal: AtomicU64::new((num_shards * replication) as u64),
             num_shards,
-            replication,
         }
     }
 
@@ -340,25 +276,14 @@ impl ModelRegistry {
         self.num_shards
     }
 
-    /// Replicas per shard (N).
-    pub fn replication(&self) -> usize {
-        self.replication
-    }
-
     /// Current global generation number.
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::Acquire)
     }
 
-    /// Loads `path` into shard `k` — one **independently loaded** model
-    /// per replica slot — and atomically swaps a new snapshot in; every
-    /// other shard is shared unchanged. All slots of the group share
-    /// the single new generation (replica responses must be
-    /// bit-identical, so their cache entries are interchangeable) and
-    /// keep their ordinals (a reload is the same incarnations with new
-    /// parameters, not a membership change — routing is undisturbed).
-    /// On any error the previous snapshot keeps serving. Returns the
-    /// new generation.
+    /// Loads `path` into shard `k` and atomically swaps a new snapshot
+    /// in; every other shard is shared unchanged. On any error the
+    /// previous snapshot keeps serving. Returns the new generation.
     pub fn load_shard(&self, k: usize, path: &Path) -> Result<u64, ServeError> {
         assert!(k < self.num_shards, "shard {k} out of range");
         // Failpoint: an injected load failure (disk error, torn
@@ -369,24 +294,13 @@ impl ModelRegistry {
                 crate::failsite::REGISTRY_LOAD
             ))));
         }
-        let mut models = Vec::with_capacity(self.replication);
-        {
-            let factories = self.factories.read().unwrap();
-            for _ in 0..self.replication {
-                let mut model = (factories[k])();
-                model.load(path)?;
-                models.push(model);
-            }
-        }
-        Ok(self.swap_shard_group(k, models, Some(path.to_path_buf())))
+        let mut model = (self.factories.read().unwrap()[k])();
+        model.load(path)?;
+        Ok(self.swap_shard(k, model))
     }
 
     /// Swaps an already-built model (e.g. trained in-process) into
-    /// shard `k`. On a replicated registry every slot of the group
-    /// shares the one installed model (models are immutable during
-    /// inference, so sharing is indistinguishable from independent
-    /// copies — and bit-identical by construction). Returns the new
-    /// generation number.
+    /// shard `k`. Returns the new generation number.
     pub fn install_shard(&self, k: usize, model: AnyModel) -> u64 {
         assert!(k < self.num_shards, "shard {k} out of range");
         assert_eq!(
@@ -394,7 +308,7 @@ impl ModelRegistry {
             self.views.read().unwrap()[k].num_local(),
             "installed model does not match shard {k}'s view"
         );
-        self.swap_shard_group(k, vec![model], None)
+        self.swap_shard(k, model)
     }
 
     /// Loads `path` into the single shard of a K = 1 registry.
@@ -443,20 +357,11 @@ impl ModelRegistry {
             panic!("failpoint {}: injected install failure", crate::failsite::REGISTRY_INSTALL);
         }
         let generation = self.generation.fetch_add(1, Ordering::AcqRel) + 1;
+        let shards: Vec<Arc<ModelShard>> =
+            models.into_iter().map(|model| Arc::new(ModelShard { model, generation })).collect();
         let mut current = self.current.write().unwrap();
-        let groups: Vec<Vec<Replica>> = models
-            .into_iter()
-            .zip(&current.groups)
-            .map(|(model, old_group)| {
-                let shard = Arc::new(ModelShard { model, generation, source: None });
-                old_group
-                    .iter()
-                    .map(|r| Replica { shard: Arc::clone(&shard), ordinal: r.ordinal })
-                    .collect()
-            })
-            .collect();
         *current = Arc::new(ModelSnapshot {
-            groups,
+            shards,
             views,
             generation,
             n: current.n,
@@ -499,7 +404,7 @@ impl ModelRegistry {
             for k in 0..self.num_shards {
                 if !seen[k] {
                     assert_eq!(
-                        current.groups[k][0].shard.model.num_edges(),
+                        current.shards[k].model.num_edges(),
                         views[k].num_local(),
                         "unrepaired shard {k}'s view changed; it must carry an update"
                     );
@@ -516,17 +421,14 @@ impl ModelRegistry {
         let views = Arc::new(views);
         let n: usize = views.iter().map(RowView::num_owned).sum();
         let mut current = self.current.write().unwrap();
-        let mut groups = current.groups.clone();
+        let mut shards = current.shards.clone();
         for u in updates {
-            let shard = Arc::new(ModelShard { model: u.model, generation, source: None });
-            for r in &mut groups[u.shard] {
-                r.shard = Arc::clone(&shard);
-            }
+            shards[u.shard] = Arc::new(ModelShard { model: u.model, generation });
             factories[u.shard] = u.factory;
         }
         *cur_views = Arc::clone(&views);
         *current = Arc::new(ModelSnapshot {
-            groups,
+            shards,
             views,
             generation,
             n,
@@ -536,41 +438,21 @@ impl ModelRegistry {
         generation
     }
 
-    /// Replaces shard `k`'s group with `models` under one generation
-    /// bump, preserving every slot's ordinal. One model fans out to
-    /// all slots via a shared `Arc`; `replication` models load one per
-    /// slot (independently loaded replicas).
-    fn swap_shard_group(&self, k: usize, models: Vec<AnyModel>, source: Option<PathBuf>) -> u64 {
+    fn swap_shard(&self, k: usize, model: AnyModel) -> u64 {
         // Failpoint: `panic` here simulates dying mid-install,
         // `delay(ms)` a slow swap racing in-flight batches (which keep
         // serving their snapshot `Arc` either way).
         if gcwc_failpoint::triggered(crate::failsite::REGISTRY_INSTALL) {
             panic!("failpoint {}: injected install failure", crate::failsite::REGISTRY_INSTALL);
         }
-        assert!(
-            models.len() == 1 || models.len() == self.replication,
-            "swap needs one shared model or one per slot"
-        );
         let generation = self.generation.fetch_add(1, Ordering::AcqRel) + 1;
+        let shard = Arc::new(ModelShard { model, generation });
         let views = Arc::clone(&self.views.read().unwrap());
         let mut current = self.current.write().unwrap();
-        let mut groups = current.groups.clone();
-        if models.len() == 1 {
-            let shard = Arc::new(ModelShard {
-                model: models.into_iter().next().unwrap(),
-                generation,
-                source,
-            });
-            for r in &mut groups[k] {
-                r.shard = Arc::clone(&shard);
-            }
-        } else {
-            for (r, model) in groups[k].iter_mut().zip(models) {
-                r.shard = Arc::new(ModelShard { model, generation, source: source.clone() });
-            }
-        }
+        let mut shards = current.shards.clone();
+        shards[k] = shard;
         *current = Arc::new(ModelSnapshot {
-            groups,
+            shards,
             views,
             generation,
             n: current.n,
@@ -578,69 +460,5 @@ impl ModelRegistry {
             out_cols: current.out_cols,
         });
         generation
-    }
-
-    /// Warm-standby promotion: rebuilds replica `slot` of shard `k`
-    /// under a **fresh ordinal** and atomically swaps the group. The
-    /// replacement is reloaded from the shard's checkpoint `source`
-    /// when it has one (a new generation — independently loaded, so
-    /// its caches re-fill), otherwise cloned from healthy `donor`'s
-    /// slot (keeping the donor's shard `Arc` *and* generation, so the
-    /// promoted replica serves the donor's cache entries bit-exactly).
-    /// Fails without touching the snapshot when the
-    /// `serve.replica.promote` failpoint triggers or no source/donor
-    /// is available. Returns the new global generation.
-    pub fn promote_replica(
-        &self,
-        k: usize,
-        slot: usize,
-        donor: Option<usize>,
-    ) -> Result<u64, ServeError> {
-        assert!(k < self.num_shards, "shard {k} out of range");
-        assert!(slot < self.replication, "slot {slot} out of range");
-        if gcwc_failpoint::triggered(crate::failsite::REPLICA_PROMOTE) {
-            return Err(ServeError::Io(std::io::Error::other(format!(
-                "failpoint {}: injected promotion failure",
-                crate::failsite::REPLICA_PROMOTE
-            ))));
-        }
-        let source = self.current.read().unwrap().groups[k][slot].shard.source.clone();
-        // Build the replacement before taking the write lock: a slow
-        // checkpoint reload must not stall snapshot readers.
-        let built = match (&source, donor) {
-            (Some(path), _) => {
-                let mut model = (self.factories.read().unwrap()[k])();
-                model.load(path)?;
-                Some(model)
-            }
-            (None, Some(d)) => {
-                assert!(d < self.replication && d != slot, "invalid donor slot {d}");
-                None
-            }
-            (None, None) => {
-                return Err(ServeError::Io(std::io::Error::other(
-                    "replica has no checkpoint source and no donor to share",
-                )))
-            }
-        };
-        let generation = self.generation.fetch_add(1, Ordering::AcqRel) + 1;
-        let ordinal = self.next_ordinal.fetch_add(1, Ordering::AcqRel);
-        let views = Arc::clone(&self.views.read().unwrap());
-        let mut current = self.current.write().unwrap();
-        let shard = match built {
-            Some(model) => Arc::new(ModelShard { model, generation, source }),
-            None => Arc::clone(&current.groups[k][donor.unwrap()].shard),
-        };
-        let mut groups = current.groups.clone();
-        groups[k][slot] = Replica { shard, ordinal };
-        *current = Arc::new(ModelSnapshot {
-            groups,
-            views,
-            generation,
-            n: current.n,
-            m: current.m,
-            out_cols: current.out_cols,
-        });
-        Ok(generation)
     }
 }

@@ -30,7 +30,7 @@
 //! ```
 //!
 //! `stats`/`ping`/`quit` requests and `pong`/`bye` responses carry an
-//! empty payload; the `stats` response is 23 `u64`s in
+//! empty payload; the `stats` response is 20 `u64`s in
 //! [`StatsSnapshot`] field order; the `err` response is a 1-byte code
 //! length, the ASCII error code, then a UTF-8 message.
 //!
@@ -42,7 +42,7 @@
 //! payload. `tstats` (0x06) carries the `u64 LE` tenant id; its
 //! response (0x86) is the tenant id plus all
 //! [`StatsSnapshot::TENANT_FIELDS`] `u64`s in declaration order
-//! (unlike the legacy 23-field form, this includes the two
+//! (unlike the legacy 20-field form, this includes the two
 //! tenant-layer counters). Legacy tenant-less frames address the
 //! default tenant and stay byte-identical to pre-tenancy builds.
 //!
@@ -391,13 +391,10 @@ pub fn fill_matrix(req: &CompleteRequest<'_>, out: &mut Matrix) -> Result<(), Wi
         }
         dst[i] = v;
     }
-    for r in 0..req.rows {
-        let row = &dst[r * req.cols..(r + 1) * req.cols];
-        if row.iter().sum::<f64>() == 0.0 && row.iter().any(|&v| v < 0.0) {
-            return Err(WireError::ZeroMassNegativeRow { row: r });
-        }
+    match protocol::zero_mass_negative_row(dst, req.cols) {
+        Some(row) => Err(WireError::ZeroMassNegativeRow { row }),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// Appends a `complete` response frame.
@@ -516,10 +513,8 @@ pub fn decode_err(payload: &[u8]) -> Result<ServeError, WireError> {
     Ok(protocol::remote_error(code, &message))
 }
 
-/// Field order of the `stats` response payload (23 `u64`s; the three
-/// replica fields trail the historical 20 so positional consumers of
-/// the prefix keep working).
-fn stats_fields(s: &StatsSnapshot) -> [u64; 23] {
+/// Field order of the `stats` response payload (20 `u64`s).
+fn stats_fields(s: &StatsSnapshot) -> [u64; 20] {
     [
         s.requests,
         s.completed,
@@ -541,9 +536,6 @@ fn stats_fields(s: &StatsSnapshot) -> [u64; 23] {
         s.refreshes_applied,
         s.refreshes_rolled_back,
         s.generation_age,
-        s.replicas,
-        s.replica_failovers,
-        s.replica_promotions,
     ]
 }
 
@@ -560,7 +552,7 @@ pub fn encode_stats(buf: &mut Vec<u8>, request_id: u64, s: &StatsSnapshot) {
 /// tenant layer, so `graph_generation` and `quota_rejected` decode as
 /// zero (use the `tstats` form to observe them).
 pub fn decode_stats(payload: &[u8]) -> Result<StatsSnapshot, WireError> {
-    if payload.len() != 23 * 8 {
+    if payload.len() != 20 * 8 {
         return Err(WireError::Truncated { what: "stats response" });
     }
     let v = |i: usize| u64_at(payload, i * 8);
@@ -587,9 +579,6 @@ pub fn decode_stats(payload: &[u8]) -> Result<StatsSnapshot, WireError> {
         generation_age: v(19),
         graph_generation: 0,
         quota_rejected: 0,
-        replicas: v(20),
-        replica_failovers: v(21),
-        replica_promotions: v(22),
     })
 }
 
@@ -789,13 +778,10 @@ mod tests {
             refreshes_applied: 18,
             refreshes_rolled_back: 19,
             generation_age: 20,
-            // The legacy frame does not carry the tenant-layer fields;
-            // they must decode back as zero.
+            // The legacy 20-field frame does not carry the tenant-layer
+            // fields; they must decode back as zero.
             graph_generation: 0,
             quota_rejected: 0,
-            replicas: 21,
-            replica_failovers: 22,
-            replica_promotions: 23,
         };
         let mut buf = Vec::new();
         encode_stats(&mut buf, 3, &s);
@@ -807,7 +793,7 @@ mod tests {
     fn stats_payload_length_is_enforced() {
         let mut buf = Vec::new();
         encode_stats(&mut buf, 1, &StatsSnapshot::default());
-        assert_eq!(buf.len(), HEADER_LEN + 23 * 8);
+        assert_eq!(buf.len(), HEADER_LEN + 20 * 8);
         assert!(decode_stats(&buf[HEADER_LEN..buf.len() - 8]).is_err());
     }
 

@@ -88,13 +88,6 @@ fn fixture() -> &'static Fixture {
 
 /// A fresh K=2 registry loaded with the fixture's trained shards.
 fn make_registry() -> Arc<ModelRegistry> {
-    make_replicated_registry(1)
-}
-
-/// Like [`make_registry`] with an N-replica group behind each shard,
-/// every slot independently loaded from the fixture checkpoints (so
-/// promotions reload from `source`).
-fn make_replicated_registry(replication: usize) -> Arc<ModelRegistry> {
     let f = fixture();
     let factories = (0..f.partition.num_partitions())
         .map(|k| {
@@ -104,8 +97,7 @@ fn make_replicated_registry(replication: usize) -> Arc<ModelRegistry> {
             fac
         })
         .collect();
-    let registry =
-        Arc::new(ModelRegistry::sharded_replicated(factories, &f.partition, replication));
+    let registry = Arc::new(ModelRegistry::sharded(factories, &f.partition));
     for (k, ckpt) in f.ckpts.iter().enumerate() {
         registry.load_shard(k, ckpt).unwrap();
     }
@@ -123,18 +115,11 @@ fn disarm_all() {
     gcwc_failpoint::remove(failsite::ACCEPT);
     gcwc_failpoint::remove(failsite::WRITE);
     gcwc_failpoint::remove(failsite::TENANT_QUOTA);
-    gcwc_failpoint::remove(failsite::REPLICA_PROMOTE);
     for k in 0..2 {
         gcwc_failpoint::remove(&failsite::shard_forward(k));
         for t in 1..=2 {
             gcwc_failpoint::remove(&failsite::tenant_shard_forward(t, k));
         }
-    }
-    // Replica kill sites are keyed by ordinal; initial K=2 × N=2 groups
-    // take 0..4 and promotions draw fresh ordinals, so sweep a
-    // generous range.
-    for ordinal in 0..32 {
-        gcwc_failpoint::remove(&failsite::replica_forward(ordinal));
     }
 }
 
@@ -624,72 +609,6 @@ fn tenant_chaos_never_leaks_across_tenants() {
     disarm_all();
     server.stop();
     tenants.shutdown();
-}
-
-/// The kill-one-replica schedule: with N=2 replica groups and one
-/// replica of each shard killed persistently (by ordinal), the engine
-/// must never hang and never degrade — every response bit-identical
-/// to the healthy reference while ≥1 replica per shard stays healthy —
-/// and the promotion counters must advance as tripped slots are
-/// rebuilt under fresh ordinals. After disarming, the engine serves
-/// exactly with the groups fully re-armed (the promoted incarnations
-/// took over).
-#[test]
-fn kill_one_replica_schedule_serves_exactly_and_promotes() {
-    let _guard = chaos_lock();
-    let _disarm = DisarmOnDrop;
-    disarm_all();
-    let f = fixture();
-    let engine = Engine::new(
-        make_replicated_registry(2),
-        EngineConfig {
-            workers: 0,
-            cache_capacity: 0,
-            breaker: BreakerConfig { failure_threshold: 1, cooldown: Duration::from_secs(3600) },
-            ..Default::default()
-        },
-    );
-    let mut client = engine.client();
-    assert_eq!(engine.stats().replicas, 2);
-
-    // Kill one slot of each shard's group: shard 0's ordinal 1 and
-    // shard 1's ordinal 2 (initial ordinals are shard-major).
-    gcwc_failpoint::configure(&failsite::replica_forward(1), "err").unwrap();
-    gcwc_failpoint::configure(&failsite::replica_forward(2), "err").unwrap();
-
-    for round in 0..3 {
-        for (i, want) in f.reference.iter().enumerate() {
-            let s = &f.samples[i];
-            let mut input = client.input_buffer();
-            input.copy_from(&s.input);
-            client.send(input, s.context.time_of_day, s.context.day_of_week).unwrap();
-            engine.process_queued();
-            let completion = client.recv().expect("kill-one-replica must never fail a request");
-            assert!(!completion.degraded, "round {round} request {i} degraded");
-            assert_eq!(bits(want), bits(&completion.output), "round {round} request {i}");
-            client.recycle(completion);
-        }
-    }
-    let stats = engine.stats();
-    assert_eq!(stats.degraded_responses, 0, "stats: {stats:?}");
-    assert!(stats.replica_failovers >= 1, "stats: {stats:?}");
-    assert!(stats.replica_promotions >= 1, "stats: {stats:?}");
-    assert!(!engine.shard_breaker_open(0), "promotion must re-arm shard 0's group");
-    assert!(!engine.shard_breaker_open(1), "promotion must re-arm shard 1's group");
-
-    // Disarmed, the engine still serves exactly — the armed ordinals
-    // died with their incarnations.
-    disarm_all();
-    let s = &f.samples[0];
-    let mut input = client.input_buffer();
-    input.copy_from(&s.input);
-    client.send(input, s.context.time_of_day, s.context.day_of_week).unwrap();
-    engine.process_queued();
-    let healed = client.recv().unwrap();
-    assert!(!healed.degraded);
-    assert_eq!(bits(&f.reference[0]), bits(&healed.output));
-    client.recycle(healed);
-    engine.shutdown();
 }
 
 #[test]

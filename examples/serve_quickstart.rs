@@ -4,21 +4,9 @@
 //!
 //! ```sh
 //! cargo run --release --example serve_quickstart
-//! # Serve every shard as a 2-replica group (K=2 sharded GCWC):
-//! cargo run --release --example serve_quickstart -- --replicas=2
 //! ```
-//!
-//! With `--replicas=N` (N >= 2) the quickstart partitions the network
-//! into two shards, trains a sharded GCWC, and builds each shard as an
-//! N-replica group — every replica independently loaded from the same
-//! checkpoint, requests routed by rendezvous hashing. The served
-//! responses are bit-identical either way at N = 1, and any healthy
-//! replica of a group answers with the same bits as any other.
 
-use gcwc::{
-    build_samples, AGcwcModel, CompletionModel, GcwcModel, ModelConfig, ShardedModel, TaskKind,
-};
-use gcwc_graph::PartitionSet;
+use gcwc::{build_samples, AGcwcModel, CompletionModel, ModelConfig, TaskKind};
 use gcwc_serve::{
     AnyModel, BinClient, Engine, EngineConfig, ModelRegistry, Server, ServerConfig, TcpClient,
 };
@@ -26,9 +14,6 @@ use gcwc_traffic::{generators, simulate, HistogramSpec, SimConfig};
 use std::sync::Arc;
 
 fn main() {
-    let replicas: usize = std::env::args()
-        .find_map(|a| a.strip_prefix("--replicas=").map(|n| n.parse().expect("--replicas=N")))
-        .unwrap_or(1);
     // 1. A small network with simulated traffic, trained briefly — the
     //    goal here is the serving path, not model quality.
     let hw = generators::highway_tollgate(42);
@@ -38,65 +23,36 @@ fn main() {
     let train_idx: Vec<usize> = (0..dataset.len() - 8).collect();
     let samples = build_samples(&dataset, &train_idx, TaskKind::Estimation, 0);
 
+    let cfg = ModelConfig::hw_hist().with_epochs(5);
+    let mut model = AGcwcModel::new(&hw.graph, 8, 96, cfg.clone(), 1);
+    println!("training A-GCWC ({} parameters)...", model.num_params());
+    model.fit(&samples);
+
+    // 2. Save a checkpoint. The file starts with a `gcwc-checkpoint v1
+    //    <arch>` header, so the server can verify it loads the right
+    //    architecture.
     let dir = std::env::temp_dir().join("gcwc_serve_quickstart");
     std::fs::create_dir_all(&dir).expect("create checkpoint dir");
+    let ckpt = dir.join("agcwc.ckpt");
+    model.save(&ckpt).expect("save checkpoint");
+    println!("checkpoint: {} ({})", ckpt.display(), model.arch_string());
+
+    // 3. Spin up the serving stack: a registry that knows how to build
+    //    the architecture, an engine batching requests over a bounded
+    //    queue with a completion cache, and a TCP front end.
     let hw = Arc::new(hw);
-
-    // 2.+3. Train, checkpoint, and build the model registry — either a
-    //    single A-GCWC, or (with `--replicas=N`) a K=2 sharded GCWC
-    //    with an N-replica group per shard, each replica independently
-    //    loaded from its shard's checkpoint.
-    let registry = if replicas > 1 {
-        let cfg = ModelConfig::hw_hist().with_epochs(5);
-        let partition = Arc::new(PartitionSet::build(&hw.graph, 2));
-        let mut sharded = ShardedModel::gcwc_on(Arc::clone(&partition), 8, cfg.clone(), 1);
-        println!("training sharded GCWC (K=2, {replicas} replicas per shard)...");
-        sharded.fit_shards(&samples);
-        let (_, shards) = sharded.into_shards();
-        let factories = (0..partition.num_partitions())
-            .map(|k| {
-                let graph = partition.partition(k).graph().clone();
-                let cfg = cfg.clone();
-                let f: Box<dyn Fn() -> AnyModel + Send + Sync> =
-                    Box::new(move || AnyModel::Gcwc(GcwcModel::new(&graph, 8, cfg.clone(), 0)));
-                f
-            })
-            .collect();
-        let registry = Arc::new(ModelRegistry::sharded_replicated(factories, &partition, replicas));
-        for (k, shard) in shards.iter().enumerate() {
-            let ckpt = dir.join(format!("gcwc.shard{k}.ckpt"));
-            shard.save(&ckpt).expect("save checkpoint");
-            registry.load_shard(k, &ckpt).expect("load checkpoint");
-            println!("checkpoint: {} (replicated x{replicas})", ckpt.display());
-        }
-        registry
-    } else {
-        let cfg = ModelConfig::hw_hist().with_epochs(5);
-        let mut model = AGcwcModel::new(&hw.graph, 8, 96, cfg.clone(), 1);
-        println!("training A-GCWC ({} parameters)...", model.num_params());
-        model.fit(&samples);
-
-        // The checkpoint file starts with a `gcwc-checkpoint v1 <arch>`
-        // header, so the server can verify it loads the right
-        // architecture.
-        let ckpt = dir.join("agcwc.ckpt");
-        model.save(&ckpt).expect("save checkpoint");
-        println!("checkpoint: {} ({})", ckpt.display(), model.arch_string());
-
-        let factory_hw = Arc::clone(&hw);
-        let registry = Arc::new(ModelRegistry::new(Box::new(move || {
-            AnyModel::AGcwc(AGcwcModel::new(
-                &factory_hw.graph,
-                8,
-                96,
-                ModelConfig::hw_hist().with_epochs(5),
-                0,
-            ))
-        })));
-        let generation = registry.load(&ckpt).expect("load checkpoint");
-        println!("registry loaded generation {generation}");
-        registry
-    };
+    let factory_hw = Arc::clone(&hw);
+    let registry = Arc::new(ModelRegistry::new(Box::new(move || {
+        AnyModel::AGcwc(AGcwcModel::new(
+            &factory_hw.graph,
+            8,
+            96,
+            ModelConfig::hw_hist().with_epochs(5),
+            0,
+        ))
+    })));
+    let generation = registry.load(&ckpt).expect("load checkpoint");
+    println!("registry loaded generation {generation}");
 
     let engine = Arc::new(Engine::new(registry, EngineConfig::default()));
     let mut server = Server::start_with(
