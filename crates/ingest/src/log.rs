@@ -182,7 +182,10 @@ fn read_segment(path: &Path) -> Result<Vec<SpeedRecord>, IngestError> {
         .and_then(|l| l.strip_prefix("records "))
         .and_then(|n| n.parse().ok())
         .ok_or_else(|| corrupt("bad record-count line"))?;
-    let mut records = Vec::with_capacity(count);
+    // `count` comes from the file itself: reserve no more records than
+    // the text can hold (each takes at least one byte), so a corrupt
+    // header cannot demand an arbitrarily large allocation.
+    let mut records = Vec::with_capacity(count.min(text.len()));
     for line in lines.by_ref().take(count) {
         let mut tok = line.split_whitespace();
         let edge: u32 =
@@ -277,10 +280,17 @@ mod tests {
         assert_eq!(log.persisted(), 0);
         assert!(!dir.join("segment-00000000.seg.tmp").exists());
         // A published-but-mangled segment is a hard error, not silent
-        // data loss.
-        fs::write(dir.join("segment-00000001.seg"), "gcwc-ingest-segment v1\nrecords 5\n1 2 0\n")
-            .unwrap();
-        assert!(matches!(RecordLog::open(&dir, 2), Err(IngestError::Corrupt { .. })));
+        // data loss; a record count the file cannot hold (up to `usize::MAX`)
+        // is the same error, not an allocation failure.
+        for count in ["5", "18446744073709551615"] {
+            let text = format!("gcwc-ingest-segment v1\nrecords {count}\n1 2 0\n");
+            fs::write(dir.join("segment-00000001.seg"), text).unwrap();
+            let err = RecordLog::open(&dir, 2).err().expect("a corrupt segment must not open");
+            assert!(
+                matches!(&err, IngestError::Corrupt { reason, .. } if reason == "truncated segment"),
+                "records {count}: {err}"
+            );
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

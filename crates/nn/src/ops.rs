@@ -57,8 +57,8 @@ pub fn poly_conv_accumulate(tx: &Matrix, theta: &Matrix, out: &mut Matrix, group
     let c_in = theta.rows();
     let c_out = theta.cols();
     let n = tx.rows();
-    debug_assert_eq!(tx.cols(), groups * c_in, "tap width mismatch");
-    debug_assert_eq!(out.shape(), (n, groups * c_out), "output shape mismatch");
+    assert_eq!(tx.cols(), groups * c_in, "tap width mismatch");
+    assert_eq!(out.shape(), (n, groups * c_out), "output shape mismatch");
     for g in 0..groups {
         // out[:, g·c_out ..] += tx[:, g·c_in ..] · θ_k
         for i in 0..n {
@@ -83,7 +83,7 @@ pub fn group_rows_into(x: &Matrix, groups: usize, out: &mut Matrix) {
     let (n, total) = x.shape();
     assert_eq!(total % groups, 0, "columns not divisible by groups");
     let c = total / groups;
-    debug_assert_eq!(out.shape(), (groups, n * c), "output shape mismatch");
+    assert_eq!(out.shape(), (groups, n * c), "output shape mismatch");
     for g in 0..groups {
         let dst = out.row_mut(g);
         for i in 0..n {
@@ -97,7 +97,7 @@ pub fn group_rows_into(x: &Matrix, groups: usize, out: &mut Matrix) {
 pub fn tile_cols_into(x: &Matrix, times: usize, out: &mut Matrix) {
     assert!(times >= 1, "tile count must be positive");
     let (r, c) = x.shape();
-    debug_assert_eq!(out.shape(), (r, c * times), "output shape mismatch");
+    assert_eq!(out.shape(), (r, c * times), "output shape mismatch");
     for i in 0..r {
         for t in 0..times {
             out.row_mut(i)[t * c..(t + 1) * c].copy_from_slice(x.row(i));
@@ -112,11 +112,13 @@ pub fn tile_cols_into(x: &Matrix, times: usize, out: &mut Matrix) {
 pub fn batch_outer_into(col: &Matrix, rows: &Matrix, out: &mut Matrix) {
     assert_eq!(col.cols(), 1, "first operand must be a column vector");
     let (beta, n, m) = (col.rows(), rows.rows(), rows.cols());
-    debug_assert_eq!(out.shape(), (n, beta * m), "output shape mismatch");
+    assert_eq!(out.shape(), (n, beta * m), "output shape mismatch");
+    let p = col.as_slice();
     for b in 0..n {
+        let (z, dst) = (rows.row(b), out.row_mut(b));
         for k in 0..beta {
-            for j in 0..m {
-                out[(b, k * m + j)] = col[(k, 0)] * rows[(b, j)];
+            for (o, &zj) in dst[k * m..(k + 1) * m].iter_mut().zip(z) {
+                *o = p[k] * zj;
             }
         }
     }
@@ -127,6 +129,12 @@ pub fn batch_outer_into(col: &Matrix, rows: &Matrix, out: &mut Matrix) {
 ///
 /// `x` is `(batch·in_ch) × (h·w)`; `kernel` is `out_ch × (in_ch·kh·kw)`;
 /// `bias` is `1 × out_ch`.
+///
+/// Each output starts from its bias and adds its taps in `(ic, di, dj)`
+/// order, visiting only taps inside the map (the zero padding is never
+/// read). All `out_ch` channels of one position accumulate together, so
+/// each input tap is loaded once per position rather than once per
+/// channel.
 pub fn conv2d_forward_into(
     x: &Matrix,
     kernel: &Matrix,
@@ -141,31 +149,31 @@ pub fn conv2d_forward_into(
     assert_eq!(bias.shape(), (1, out_ch), "bias shape mismatch");
     assert_eq!(out.shape(), (batch * out_ch, h * w), "conv output shape mismatch");
     let (ph0, pw0) = ((kh - 1) / 2, (kw - 1) / 2);
+    let (hw, taps) = (h * w, in_ch * kh * kw);
+    let (k, bias) = (kernel.as_slice(), bias.row(0));
     for b in 0..batch {
-        for oc in 0..out_ch {
-            let orow = b * out_ch + oc;
-            for i in 0..h {
-                for j in 0..w {
-                    let mut acc = bias[(0, oc)];
-                    for ic in 0..in_ch {
-                        let xrow = b * in_ch + ic;
-                        for di in 0..kh {
-                            let si = i as isize + di as isize - ph0 as isize;
-                            if si < 0 || si >= h as isize {
-                                continue;
-                            }
-                            for dj in 0..kw {
-                                let sj = j as isize + dj as isize - pw0 as isize;
-                                if sj < 0 || sj >= w as isize {
-                                    continue;
-                                }
-                                let kcol = ic * kh * kw + di * kw + dj;
-                                acc +=
-                                    kernel[(oc, kcol)] * x[(xrow, si as usize * w + sj as usize)];
+        let xb = &x.as_slice()[b * in_ch * hw..(b + 1) * in_ch * hw];
+        let ob = &mut out.as_mut_slice()[b * out_ch * hw..(b + 1) * out_ch * hw];
+        for i in 0..h {
+            // Kernel rows `di` whose source row `i + di − ph0` is inside the map.
+            let (di0, di1) = (ph0.saturating_sub(i), kh.min(h + ph0 - i));
+            for j in 0..w {
+                let (dj0, dj1) = (pw0.saturating_sub(j), kw.min(w + pw0 - j));
+                let p = i * w + j;
+                for oc in 0..out_ch {
+                    ob[oc * hw + p] = bias[oc];
+                }
+                for ic in 0..in_ch {
+                    for di in di0..di1 {
+                        let src = ic * hw + (i + di - ph0) * w + j;
+                        for dj in dj0..dj1 {
+                            let xv = xb[src + dj - pw0];
+                            let kcol = ic * kh * kw + di * kw + dj;
+                            for oc in 0..out_ch {
+                                ob[oc * hw + p] += k[oc * taps + kcol] * xv;
                             }
                         }
                     }
-                    out[(orow, i * w + j)] = acc;
                 }
             }
         }
@@ -175,6 +183,10 @@ pub fn conv2d_forward_into(
 /// Batched 2-D max pooling with stride = window (floor semantics);
 /// writes the pooled maxima and argmax indices into caller-provided
 /// buffers (every element of both is overwritten).
+///
+/// Within a window the first strict maximum wins (`>`), so ties keep the
+/// earliest index and NaN inputs are never selected; a window with no
+/// value above `-∞` reports `-∞` at index 0.
 pub fn maxpool2d_forward_into(x: &Matrix, spec: &PoolSpec, out: &mut Matrix, argmax: &mut [usize]) {
     let PoolSpec { batch, ch, h, w, ph, pw } = *spec;
     assert_eq!(x.rows(), batch * ch, "pool input row mismatch");
@@ -183,21 +195,23 @@ pub fn maxpool2d_forward_into(x: &Matrix, spec: &PoolSpec, out: &mut Matrix, arg
     assert_eq!(out.shape(), (batch * ch, ho * wo), "pool output shape mismatch");
     assert_eq!(argmax.len(), batch * ch * ho * wo, "argmax length mismatch");
     for r in 0..batch * ch {
+        let (src, dst) = (x.row(r), out.row_mut(r));
+        let arg = &mut argmax[r * ho * wo..(r + 1) * ho * wo];
         for oi in 0..ho {
             for oj in 0..wo {
                 let mut best = f64::NEG_INFINITY;
                 let mut best_idx = 0usize;
                 for di in 0..ph {
-                    for dj in 0..pw {
-                        let idx = (oi * ph + di) * w + (oj * pw + dj);
-                        if x[(r, idx)] > best {
-                            best = x[(r, idx)];
+                    let start = (oi * ph + di) * w + oj * pw;
+                    for (idx, &v) in (start..).zip(&src[start..start + pw]) {
+                        if v > best {
+                            best = v;
                             best_idx = idx;
                         }
                     }
                 }
-                out[(r, oi * wo + oj)] = best;
-                argmax[r * ho * wo + oi * wo + oj] = best_idx;
+                dst[oi * wo + oj] = best;
+                arg[oi * wo + oj] = best_idx;
             }
         }
     }
@@ -252,5 +266,33 @@ mod tests {
         let mut out = Matrix::zeros(2, 2);
         poly_conv_accumulate(&tx, &theta, &mut out, 1);
         assert!(out.approx_eq(&tx.matmul(&theta), 1e-12));
+    }
+
+    // A destination one column too wide would otherwise keep stale values
+    // in its extra column; the shape checks must fire in release builds.
+
+    #[test]
+    #[should_panic(expected = "output shape mismatch")]
+    fn poly_conv_accumulate_rejects_wide_output() {
+        let (tx, theta) = (Matrix::zeros(2, 2), Matrix::zeros(2, 2));
+        poly_conv_accumulate(&tx, &theta, &mut Matrix::zeros(2, 3), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "output shape mismatch")]
+    fn group_rows_into_rejects_wide_output() {
+        group_rows_into(&Matrix::zeros(2, 6), 3, &mut Matrix::zeros(3, 5));
+    }
+
+    #[test]
+    #[should_panic(expected = "output shape mismatch")]
+    fn tile_cols_into_rejects_wide_output() {
+        tile_cols_into(&Matrix::zeros(2, 2), 3, &mut Matrix::zeros(2, 7));
+    }
+
+    #[test]
+    #[should_panic(expected = "output shape mismatch")]
+    fn batch_outer_into_rejects_wide_output() {
+        batch_outer_into(&Matrix::zeros(2, 1), &Matrix::zeros(2, 2), &mut Matrix::zeros(2, 5));
     }
 }

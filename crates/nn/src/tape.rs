@@ -691,18 +691,9 @@ impl Tape {
     /// paper §V-B3).
     pub fn batch_outer(&mut self, col: NodeId, rows: NodeId) -> NodeId {
         let Tape { nodes, pool, .. } = self;
-        let p = &nodes[col.0].value;
-        let z = &nodes[rows.0].value;
-        assert_eq!(p.cols(), 1, "first operand must be a column vector");
-        let (beta, n, m) = (p.rows(), z.rows(), z.cols());
-        let mut v = pool.take_raw(n, beta * m);
-        for b in 0..n {
-            for k in 0..beta {
-                for j in 0..m {
-                    v[(b, k * m + j)] = p[(k, 0)] * z[(b, j)];
-                }
-            }
-        }
+        let (p, z) = (&nodes[col.0].value, &nodes[rows.0].value);
+        let mut v = pool.take_raw(z.rows(), p.rows() * z.cols());
+        ops::batch_outer_into(p, z, &mut v);
         self.push(v, Op::BatchOuter { col, rows })
     }
 

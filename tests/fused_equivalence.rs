@@ -12,10 +12,16 @@
 //! Each property also runs under `GCWC_THREADS ∈ {1, 4}` (via
 //! `with_threads`), extending the serial/parallel contract of
 //! `parallel_equivalence.rs` to the fused paths.
+//!
+//! The CP-CNN forward kernels in `gcwc_nn::ops` (batched outer product,
+//! 2-D convolution, 2-D max pooling) are serial; they are compared with
+//! the plain one-output-at-a-time loops they replaced, kept below as the
+//! reference, on inputs that include NaN, ±0, ±1e300 and −∞.
 
 use gcwc_graph::{ChebyshevBasis, PolyBasis, RandomWalkBasis};
 use gcwc_linalg::parallel::with_threads;
 use gcwc_linalg::{BufferPool, CsrMatrix, Matrix};
+use gcwc_nn::{ops, ConvSpec, PoolSpec};
 use proptest::prelude::*;
 
 const THREAD_COUNTS: [usize; 2] = [1, 4];
@@ -355,5 +361,220 @@ proptest! {
                 Ok(())
             })?;
         }
+    }
+}
+
+// ----- CP-CNN forward kernels ----------------------------------------------
+
+/// Reference batched outer product: one output element per step.
+fn reference_batch_outer_into(col: &Matrix, rows: &Matrix, out: &mut Matrix) {
+    assert_eq!(col.cols(), 1, "first operand must be a column vector");
+    let (beta, n, m) = (col.rows(), rows.rows(), rows.cols());
+    debug_assert_eq!(out.shape(), (n, beta * m), "output shape mismatch");
+    for b in 0..n {
+        for k in 0..beta {
+            for j in 0..m {
+                out[(b, k * m + j)] = col[(k, 0)] * rows[(b, j)];
+            }
+        }
+    }
+}
+
+/// Reference `same`-padded convolution: one output at a time, every tap
+/// tested against the map bounds.
+fn reference_conv2d_forward_into(
+    x: &Matrix,
+    kernel: &Matrix,
+    bias: &Matrix,
+    spec: &ConvSpec,
+    out: &mut Matrix,
+) {
+    let ConvSpec { batch, in_ch, out_ch, h, w, kh, kw } = *spec;
+    assert_eq!(x.rows(), batch * in_ch, "conv input row mismatch");
+    assert_eq!(x.cols(), h * w, "conv input col mismatch");
+    assert_eq!(kernel.shape(), (out_ch, in_ch * kh * kw), "kernel shape mismatch");
+    assert_eq!(bias.shape(), (1, out_ch), "bias shape mismatch");
+    assert_eq!(out.shape(), (batch * out_ch, h * w), "conv output shape mismatch");
+    let (ph0, pw0) = ((kh - 1) / 2, (kw - 1) / 2);
+    for b in 0..batch {
+        for oc in 0..out_ch {
+            let orow = b * out_ch + oc;
+            for i in 0..h {
+                for j in 0..w {
+                    let mut acc = bias[(0, oc)];
+                    for ic in 0..in_ch {
+                        let xrow = b * in_ch + ic;
+                        for di in 0..kh {
+                            let si = i as isize + di as isize - ph0 as isize;
+                            if si < 0 || si >= h as isize {
+                                continue;
+                            }
+                            for dj in 0..kw {
+                                let sj = j as isize + dj as isize - pw0 as isize;
+                                if sj < 0 || sj >= w as isize {
+                                    continue;
+                                }
+                                let kcol = ic * kh * kw + di * kw + dj;
+                                acc +=
+                                    kernel[(oc, kcol)] * x[(xrow, si as usize * w + sj as usize)];
+                            }
+                        }
+                    }
+                    out[(orow, i * w + j)] = acc;
+                }
+            }
+        }
+    }
+}
+
+/// Reference max pooling: one window at a time through 2-D indexing.
+fn reference_maxpool2d_forward_into(
+    x: &Matrix,
+    spec: &PoolSpec,
+    out: &mut Matrix,
+    argmax: &mut [usize],
+) {
+    let PoolSpec { batch, ch, h, w, ph, pw } = *spec;
+    assert_eq!(x.rows(), batch * ch, "pool input row mismatch");
+    assert_eq!(x.cols(), h * w, "pool input col mismatch");
+    let (ho, wo) = (spec.out_h(), spec.out_w());
+    assert_eq!(out.shape(), (batch * ch, ho * wo), "pool output shape mismatch");
+    assert_eq!(argmax.len(), batch * ch * ho * wo, "argmax length mismatch");
+    for r in 0..batch * ch {
+        for oi in 0..ho {
+            for oj in 0..wo {
+                let mut best = f64::NEG_INFINITY;
+                let mut best_idx = 0usize;
+                for di in 0..ph {
+                    for dj in 0..pw {
+                        let idx = (oi * ph + di) * w + (oj * pw + dj);
+                        if x[(r, idx)] > best {
+                            best = x[(r, idx)];
+                            best_idx = idx;
+                        }
+                    }
+                }
+                out[(r, oi * wo + oj)] = best;
+                argmax[r * ho * wo + oi * wo + oj] = best_idx;
+            }
+        }
+    }
+}
+
+/// Like [`assert_bits_eq`], except that a NaN matches any NaN. An
+/// addition that meets two NaNs returns one of them, and which one
+/// depends on the operand order the code generator picks (Rust leaves the
+/// sign and payload of a NaN result unspecified): an optimised build that
+/// folds an in-memory accumulator into the add can return the product's
+/// `−NaN` (from `∞·0` or `∞ − ∞`) where the register accumulator returns
+/// the input's `+NaN`. Every non-NaN output must still match bit for bit.
+fn assert_bits_eq_nan_as_nan(a: &Matrix, b: &Matrix, what: &str) -> Result<(), TestCaseError> {
+    prop_assert_eq!(a.shape(), b.shape(), "{} shape", what);
+    for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
+        prop_assert!(
+            x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+            "{} diverged: {:#x} vs {:#x}",
+            what,
+            x.to_bits(),
+            y.to_bits()
+        );
+    }
+    Ok(())
+}
+
+/// Strategy: an entry that is often special — NaN, ±0, ±1e300, −∞ — or a
+/// small integer (so pooling windows hold ties), otherwise uniform.
+fn edge_value() -> impl Strategy<Value = f64> {
+    (0usize..16, -2.0f64..2.0).prop_map(|(pick, v)| match pick {
+        0 => f64::NAN,
+        1 => 0.0,
+        2 => -0.0,
+        3 => 1e300,
+        4 => -1e300,
+        5 => f64::NEG_INFINITY,
+        6..=8 => v.round(),
+        _ => v,
+    })
+}
+
+/// Strategy: a `rows × cols` matrix of [`edge_value`] entries.
+fn edge_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
+    proptest::collection::vec(edge_value(), rows * cols)
+        .prop_map(move |data| Matrix::from_vec(rows, cols, data))
+}
+
+/// Strategy: a convolution spec with kernels up to 4×4 (odd and even, so
+/// both leading and trailing padding occur) over maps up to 7×9, with
+/// conforming `(x, kernel, bias)`.
+fn conv_case() -> impl Strategy<Value = (ConvSpec, Matrix, Matrix, Matrix)> {
+    ((1usize..4, 1usize..5, 1usize..6), (1usize..8, 1usize..10), (1usize..5, 1usize..5))
+        .prop_flat_map(|((batch, in_ch, out_ch), (h, w), (kh, kw))| {
+            let spec = ConvSpec { batch, in_ch, out_ch, h, w, kh, kw };
+            (
+                edge_matrix(batch * in_ch, h * w),
+                edge_matrix(out_ch, in_ch * kh * kw),
+                edge_matrix(1, out_ch),
+            )
+                .prop_map(move |(x, kernel, bias)| (spec, x, kernel, bias))
+        })
+}
+
+/// Strategy: a pooling spec whose window need not divide the map, with a
+/// conforming input.
+fn pool_case() -> impl Strategy<Value = (PoolSpec, Matrix)> {
+    (1usize..4, 1usize..5, 1usize..8, 1usize..10)
+        .prop_flat_map(|(batch, ch, h, w)| {
+            (1..h + 1, 1..w + 1).prop_map(move |(ph, pw)| PoolSpec { batch, ch, h, w, ph, pw })
+        })
+        .prop_flat_map(|spec| {
+            edge_matrix(spec.batch * spec.ch, spec.h * spec.w).prop_map(move |x| (spec, x))
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// `conv2d_forward_into` through a stale buffer matches the
+    /// reference loops bit for bit (NaN for NaN, see
+    /// [`assert_bits_eq_nan_as_nan`]).
+    #[test]
+    fn conv2d_forward_matches_reference((spec, x, kernel, bias) in conv_case()) {
+        let (rows, cols) = (spec.batch * spec.out_ch, spec.h * spec.w);
+        let mut want = stale(rows, cols);
+        reference_conv2d_forward_into(&x, &kernel, &bias, &spec, &mut want);
+        let mut out = stale(rows, cols);
+        ops::conv2d_forward_into(&x, &kernel, &bias, &spec, &mut out);
+        assert_bits_eq_nan_as_nan(&out, &want, "conv2d_forward_into")?;
+    }
+
+    /// `maxpool2d_forward_into` through stale buffers matches the
+    /// reference loops: same maxima bits and same argmax, so the strict
+    /// `>` tie rule and the NaN and −∞ handling are pinned.
+    #[test]
+    fn maxpool2d_forward_matches_reference((spec, x) in pool_case()) {
+        let (rows, cols) = (spec.batch * spec.ch, spec.out_h() * spec.out_w());
+        let mut want = stale(rows, cols);
+        let mut want_arg = vec![usize::MAX; rows * cols];
+        reference_maxpool2d_forward_into(&x, &spec, &mut want, &mut want_arg);
+        let mut out = stale(rows, cols);
+        let mut arg = vec![usize::MAX; rows * cols];
+        ops::maxpool2d_forward_into(&x, &spec, &mut out, &mut arg);
+        assert_bits_eq(&out, &want, "maxpool2d_forward_into")?;
+        prop_assert_eq!(arg, want_arg, "argmax");
+    }
+
+    /// `batch_outer_into` through a stale buffer matches the reference
+    /// loops bit for bit.
+    #[test]
+    fn batch_outer_matches_reference(
+        (col, rows) in (1usize..6, 1usize..8, 1usize..10)
+            .prop_flat_map(|(beta, n, m)| (edge_matrix(beta, 1), edge_matrix(n, m))),
+    ) {
+        let shape = (rows.rows(), col.rows() * rows.cols());
+        let mut want = stale(shape.0, shape.1);
+        reference_batch_outer_into(&col, &rows, &mut want);
+        let mut out = stale(shape.0, shape.1);
+        ops::batch_outer_into(&col, &rows, &mut out);
+        assert_bits_eq(&out, &want, "batch_outer_into")?;
     }
 }
