@@ -13,8 +13,13 @@
 //!    so per-worker partial sums would round differently as the worker
 //!    count changed);
 //! 3. buffers are merged into the [`ParamStore`] in sample-index order
-//!    after the batch completes, reproducing the serial accumulation
-//!    order exactly.
+//!    after the batch completes ([`GradBuffer::merge_batch`]),
+//!    reproducing the serial accumulation order exactly.
+//!
+//! A worker needs only one [`Tape`]: a sample's tape is done once its
+//! backward pass has filled the sample's buffer, and the buffer keeps a
+//! dense layer's weight gradient as its small factors, not as a copy
+//! of anything on the tape.
 //!
 //! # Divergence guard
 //!
@@ -63,18 +68,6 @@ pub mod failsite {
     /// Training-state checkpoint write: a triggered site fails the
     /// write with an injected I/O error.
     pub const CHECKPOINT_SAVE: &str = "train.checkpoint.save";
-}
-
-/// Reusable per-sample workspace: the tape that holds one sample's
-/// graph and the private gradient buffer its backward pass fills.
-///
-/// Slots persist across batches and epochs so the steady-state training
-/// step reuses the tape's pooled matrices and the buffer's gradient
-/// storage instead of reallocating them per sample.
-#[derive(Default)]
-struct SampleSlot {
-    tape: Tape,
-    buffer: GradBuffer,
 }
 
 /// Per-epoch mean losses recorded during training.
@@ -263,11 +256,12 @@ pub fn run_training_guarded(
             start_epoch = state.epochs_done;
         }
     }
-    // Workspaces reused across batches and epochs: tapes, gradient
-    // buffers, seed and loss scratch. After the first few batches the
-    // loop body reaches a steady state that performs no heap
-    // allocation.
-    let mut slots: Vec<SampleSlot> = Vec::new();
+    // Workspaces reused across batches and epochs: one tape per worker,
+    // one gradient buffer per sample, seed and loss scratch. After the
+    // first few batches the loop body reaches a steady state that
+    // performs no heap allocation.
+    let mut tapes: Vec<Tape> = Vec::new();
+    let mut buffers: Vec<GradBuffer> = Vec::new();
     let mut seeds: Vec<u64> = Vec::new();
     let mut losses: Vec<f64> = Vec::new();
     // Rollback snapshot: parameter values and optimizer state captured
@@ -288,9 +282,9 @@ pub fn run_training_guarded(
                 // seeds, so transient bad draws are not replayed.
                 seeds.clear();
                 seeds.extend(batch.iter().map(|_| rng.random::<u64>()));
-                while slots.len() < batch.len() {
-                    slots.push(SampleSlot::default());
-                }
+                let workers = threads.get().min(batch.len());
+                tapes.resize_with(tapes.len().max(workers), Tape::new);
+                buffers.resize_with(buffers.len().max(batch.len()), GradBuffer::new);
                 losses.clear();
                 losses.resize(batch.len(), 0.0);
                 run_batch(
@@ -298,17 +292,17 @@ pub fn run_training_guarded(
                     batch,
                     &seeds,
                     samples,
-                    threads,
-                    &mut slots[..batch.len()],
+                    &mut tapes[..workers],
+                    &mut buffers[..batch.len()],
                     &mut losses,
                     &forward_loss,
                 );
                 // Fixed merge order — batch position, never worker id.
                 let mut batch_loss = 0.0;
-                for (loss, slot) in losses.iter().zip(&slots) {
+                for loss in &losses {
                     batch_loss += *loss;
-                    slot.buffer.merge_into(store);
                 }
+                GradBuffer::merge_batch(&buffers[..batch.len()], store);
                 store.scale_grads(1.0 / batch.len() as f64);
                 // Pre-step guard: a non-finite loss or gradient means
                 // the update must not be applied at all. Nothing has
@@ -405,32 +399,33 @@ fn restore_params(store: &mut ParamStore, src: &[Matrix]) {
     }
 }
 
-/// Builds the tape for one sample and runs its backward pass into a
-/// private buffer. Both the serial and the parallel batch path call
-/// exactly this function, which is what makes them bit-identical.
+/// Builds the tape for one sample and runs its backward pass into the
+/// sample's private buffer. Both the serial and the parallel batch path
+/// call exactly this function, which is what makes them bit-identical.
 fn eval_sample<F>(
     store: &ParamStore,
     sample: &TrainSample,
     seed: u64,
-    slot: &mut SampleSlot,
+    tape: &mut Tape,
+    buffer: &mut GradBuffer,
     forward_loss: &F,
 ) -> f64
 where
     F: Fn(&mut Tape, &ParamStore, &TrainSample, &mut StdRng) -> NodeId + Sync,
 {
-    slot.tape.reset();
-    slot.buffer.reset();
+    tape.reset();
+    buffer.reset();
     let mut rng = seeded(seed);
-    let loss = forward_loss(&mut slot.tape, store, sample, &mut rng);
-    let value = slot.tape.value(loss)[(0, 0)];
-    slot.tape.backward(loss, &mut slot.buffer);
+    let loss = forward_loss(tape, store, sample, &mut rng);
+    let value = tape.value(loss)[(0, 0)];
+    tape.backward(loss, buffer);
     value
 }
 
 /// Evaluates every sample of `batch`, writing each loss into `losses`
-/// and each gradient into the matching slot's buffer, in batch order.
-/// With more than one thread, the batch is split into contiguous
-/// chunks, one per scoped worker; workers run their kernels
+/// and each gradient into the matching buffer, in batch order. The
+/// batch is split into contiguous chunks, one per tape; with more than
+/// one tape each chunk runs on its own scoped worker, whose kernels run
 /// single-threaded (the thread budget is already spent on samples).
 #[allow(clippy::too_many_arguments)] // internal helper mirroring run_training's flat signature
 fn run_batch<F>(
@@ -438,54 +433,56 @@ fn run_batch<F>(
     batch: &[usize],
     seeds: &[u64],
     samples: &[TrainSample],
-    threads: Threads,
-    slots: &mut [SampleSlot],
+    tapes: &mut [Tape],
+    buffers: &mut [GradBuffer],
     losses: &mut [f64],
     forward_loss: &F,
 ) where
     F: Fn(&mut Tape, &ParamStore, &TrainSample, &mut StdRng) -> NodeId + Sync,
 {
-    debug_assert_eq!(slots.len(), batch.len());
+    debug_assert_eq!(buffers.len(), batch.len());
     debug_assert_eq!(losses.len(), batch.len());
-    let workers = threads.get().min(batch.len());
+    let run_chunk =
+        |start: usize, tape: &mut Tape, buffers: &mut [GradBuffer], losses: &mut [f64]| {
+            for (k, (buffer, loss)) in buffers.iter_mut().zip(losses.iter_mut()).enumerate() {
+                let (si, seed) = (batch[start + k], seeds[start + k]);
+                *loss = eval_sample(store, &samples[si], seed, tape, buffer, forward_loss);
+            }
+        };
+    let workers = tapes.len();
     if workers <= 1 {
-        for (k, (slot, loss)) in slots.iter_mut().zip(losses.iter_mut()).enumerate() {
-            *loss = eval_sample(store, &samples[batch[k]], seeds[k], slot, forward_loss);
-        }
+        run_chunk(0, &mut tapes[0], buffers, losses);
         return;
     }
-    let run_chunk = |start: usize, slots: &mut [SampleSlot], losses: &mut [f64]| {
-        // Kernels run single-threaded inside workers: the thread budget
-        // is already spent at the sample level.
-        parallel::with_threads(1, || {
-            for (k, (slot, loss)) in slots.iter_mut().zip(losses.iter_mut()).enumerate() {
-                let si = batch[start + k];
-                *loss = eval_sample(store, &samples[si], seeds[start + k], slot, forward_loss);
-            }
-        });
-    };
+    // Kernels run single-threaded inside workers: the thread budget is
+    // already spent at the sample level.
+    let run_worker =
+        |start: usize, tape: &mut Tape, buffers: &mut [GradBuffer], losses: &mut [f64]| {
+            parallel::with_threads(1, || run_chunk(start, tape, buffers, losses));
+        };
     std::thread::scope(|scope| {
-        let mut rest_slots = slots;
+        let mut rest_buffers = buffers;
         let mut rest_losses = losses;
         let mut offset = 0usize;
-        let mut own: Option<(usize, &mut [SampleSlot], &mut [f64])> = None;
-        for w in 0..workers {
+        let mut own = None;
+        for (w, tape) in tapes.iter_mut().enumerate() {
             let count = batch.len() / workers + usize::from(w < batch.len() % workers);
-            let (chunk_slots, tail_slots) = rest_slots.split_at_mut(count);
-            rest_slots = tail_slots;
+            let (chunk_buffers, tail_buffers) = rest_buffers.split_at_mut(count);
+            rest_buffers = tail_buffers;
             let (chunk_losses, tail_losses) = rest_losses.split_at_mut(count);
             rest_losses = tail_losses;
             let start = offset;
             offset += count;
             if w == 0 {
-                own = Some((start, chunk_slots, chunk_losses));
+                own = Some((start, tape, chunk_buffers, chunk_losses));
             } else {
-                let run_chunk = &run_chunk;
-                scope.spawn(move || run_chunk(start, chunk_slots, chunk_losses));
+                let run_worker = &run_worker;
+                scope.spawn(move || run_worker(start, tape, chunk_buffers, chunk_losses));
             }
         }
-        let (start, chunk_slots, chunk_losses) = own.expect("workers >= 2 implies a first chunk");
-        run_chunk(start, chunk_slots, chunk_losses);
+        let (start, tape, chunk_buffers, chunk_losses) =
+            own.expect("workers >= 2 implies a first chunk");
+        run_worker(start, tape, chunk_buffers, chunk_losses);
     });
 }
 

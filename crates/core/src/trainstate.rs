@@ -74,6 +74,11 @@ impl TrainState {
     }
 
     /// Parses state text written by [`TrainState::to_text`].
+    ///
+    /// Counts in the text are not trusted: nothing is reserved for them
+    /// up front, so a count larger than the text holds ends in
+    /// [`PersistError::Format`] when the values run out, never in a huge
+    /// allocation.
     pub fn from_text(content: &str) -> Result<Self, PersistError> {
         let mut tok = content.split_whitespace();
         expect(&mut tok, HEADER)?;
@@ -96,13 +101,13 @@ impl TrainState {
         }
         expect(&mut tok, "order")?;
         let order_len: usize = parse_num(&mut tok, "order length")?;
-        let mut order = Vec::with_capacity(order_len);
+        let mut order = Vec::new();
         for _ in 0..order_len {
             order.push(parse_num(&mut tok, "order entry")?);
         }
         expect(&mut tok, "losses")?;
         let losses_len: usize = parse_num(&mut tok, "loss count")?;
-        let mut epoch_losses = Vec::with_capacity(losses_len);
+        let mut epoch_losses = Vec::new();
         for _ in 0..losses_len {
             epoch_losses.push(f64::from_bits(parse_u64_hex(&mut tok, "epoch loss")?));
         }
@@ -111,7 +116,7 @@ impl TrainState {
         let epoch: u32 = parse_num(&mut tok, "adam epoch counter")?;
         expect(&mut tok, "params")?;
         let param_count: usize = parse_num(&mut tok, "parameter count")?;
-        let mut params = Vec::with_capacity(param_count);
+        let mut params = Vec::new();
         let mut adam = AdamState { t, epoch, m: Vec::new(), v: Vec::new() };
         for _ in 0..param_count {
             expect(&mut tok, "param")?;
@@ -255,8 +260,11 @@ fn parse_matrix<'a>(
     rows: usize,
     cols: usize,
 ) -> Result<Matrix, PersistError> {
-    let mut data = Vec::with_capacity(rows * cols);
-    for _ in 0..rows * cols {
+    let len = rows
+        .checked_mul(cols)
+        .ok_or_else(|| PersistError::Format(format!("matrix shape {rows}x{cols} overflows")))?;
+    let mut data = Vec::new();
+    for _ in 0..len {
         data.push(f64::from_bits(parse_u64_hex(tok, "matrix value")?));
     }
     Ok(Matrix::from_vec(rows, cols, data))
@@ -315,6 +323,23 @@ mod tests {
         let text = sample_state().to_text();
         let cut = &text[..text.len() * 2 / 3];
         assert!(matches!(TrainState::from_text(cut), Err(PersistError::Format(_))));
+        // Headers whose counts the text cannot hold: a count that would
+        // overflow a reservation, one that would abort on allocating
+        // it, and matrix shapes whose value count overflows `usize`.
+        let head = "gcwc-trainstate v1\nrun 0 rng 0 0 0 0\n";
+        let params = "order 0\nlosses 0\nadam 0 0\nparams 1\n";
+        for bad in [
+            format!("{head}order 18446744073709551615\n0\n"),
+            format!("{head}order 1000000000000\n0\n"),
+            format!("{head}{params}param w 4294967296 4294967297\n"),
+            format!("{head}{params}param w 4294967296 4294967296\n"),
+        ] {
+            let result = TrainState::from_text(&bad);
+            assert!(
+                matches!(result, Err(PersistError::Format(_))),
+                "{bad:?} was not a Format error"
+            );
+        }
     }
 
     #[test]

@@ -31,11 +31,12 @@ impl Dense {
         Self { w, b }
     }
 
-    /// Applies the layer on the tape.
+    /// Applies the layer on the tape. The product is one
+    /// [`Tape::dense_matmul`] op, so the weight gradient reaches the
+    /// sink as its factors.
     pub fn apply(&self, tape: &mut Tape, store: &ParamStore, x: NodeId) -> NodeId {
-        let w = tape.param(store, self.w);
         let b = tape.param(store, self.b);
-        let xw = tape.matmul(x, w);
+        let xw = tape.dense_matmul(x, store, self.w);
         tape.add_row_broadcast(xw, b)
     }
 }

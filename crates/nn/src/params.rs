@@ -134,25 +134,50 @@ impl ParamStore {
 pub trait GradSink {
     /// Adds `delta` into the gradient slot of `id`.
     fn accumulate_grad(&mut self, id: ParamId, delta: &Matrix);
+
+    /// Adds `xᵀ·g` into the gradient slot of `id`: a dense layer's
+    /// weight gradient, handed over as its two factors so that the
+    /// `in × out` product need not be materialised per sample.
+    fn accumulate_product(&mut self, id: ParamId, x: &Matrix, g: &Matrix);
 }
 
 impl GradSink for ParamStore {
     fn accumulate_grad(&mut self, id: ParamId, delta: &Matrix) {
         ParamStore::accumulate_grad(self, id, delta);
     }
+
+    fn accumulate_product(&mut self, id: ParamId, x: &Matrix, g: &Matrix) {
+        add_products(&mut self.params[id.0].grad, std::iter::once((x, g)));
+    }
+}
+
+/// One parameter's gradient inside a [`GradBuffer`].
+#[derive(Clone, Debug, Default)]
+enum Slot {
+    /// No gradient reached the parameter.
+    #[default]
+    Empty,
+    /// A materialised gradient.
+    Dense(Matrix),
+    /// A dense layer's weight gradient `xᵀ·g`, kept as its factors.
+    Product { x: Matrix, g: Matrix },
 }
 
 /// A private, store-shaped gradient accumulator.
 ///
-/// Workers in the data-parallel training loop each own one buffer per
-/// sample; [`GradBuffer::merge_into`] then folds buffers into the real
-/// [`ParamStore`] in ascending parameter order, so the final gradients
-/// depend only on the order of `merge_into` calls — never on how
-/// samples were distributed over threads.
+/// Workers in the data-parallel training loop each fill one buffer per
+/// sample; [`GradBuffer::merge_batch`] then folds the batch's buffers
+/// into the real [`ParamStore`] in sample order, so the final gradients
+/// depend only on that order — never on how samples were distributed
+/// over threads.
+///
+/// A dense layer's weight gradient stays factored as `(x, g)` — for the
+/// FC decoder `m × (in + out)` values instead of `in × out` — and the
+/// merge forms each product `xᵀ·g` element by element while adding it.
 #[derive(Clone, Debug, Default)]
 pub struct GradBuffer {
-    /// Indexed by `ParamId`; `None` means no gradient touched that slot.
-    slots: Vec<Option<Matrix>>,
+    /// Indexed by `ParamId`.
+    slots: Vec<Slot>,
     /// Matrices recycled by [`GradBuffer::reset`], reused by shape on
     /// the next accumulation so steady-state batches do not allocate.
     spare: Vec<Matrix>,
@@ -168,61 +193,185 @@ impl GradBuffer {
     /// mini-batch.
     pub fn reset(&mut self) {
         for slot in &mut self.slots {
-            if let Some(m) = slot.take() {
-                self.spare.push(m);
+            match std::mem::take(slot) {
+                Slot::Empty => {}
+                Slot::Dense(m) => self.spare.push(m),
+                Slot::Product { x, g } => self.spare.extend([x, g]),
             }
         }
     }
 
     /// True when no gradient has been accumulated.
     pub fn is_empty(&self) -> bool {
-        self.slots.iter().all(|s| s.is_none())
+        self.slots.iter().all(|s| matches!(s, Slot::Empty))
     }
 
-    /// The accumulated gradient for `id`, if any.
-    pub fn get(&self, id: ParamId) -> Option<&Matrix> {
-        self.slots.get(id.0).and_then(|s| s.as_ref())
-    }
-
-    /// Folds this buffer into `store` in ascending [`ParamId`] order.
+    /// Folds this buffer into `store`: [`GradBuffer::merge_batch`] of
+    /// one buffer.
     pub fn merge_into(&self, store: &mut ParamStore) {
-        for (idx, slot) in self.slots.iter().enumerate() {
-            if let Some(g) = slot {
-                ParamStore::accumulate_grad(store, ParamId(idx), g);
+        Self::merge_batch(std::slice::from_ref(self), store);
+    }
+
+    /// Folds `buffers` into `store` in slice order, bit-identical to
+    /// calling [`GradBuffer::merge_into`] on each buffer in turn.
+    ///
+    /// Parameters are visited in ascending [`ParamId`] order. Each run of
+    /// consecutive factored gradients of one parameter is added in a
+    /// single pass over its gradient, every element forming each
+    /// sample's product `xᵀ·g` exactly as [`Matrix::matmul_tn_into`]
+    /// does and adding the products in sample order; a materialised
+    /// gradient is added as a whole, in its place in the order.
+    pub fn merge_batch(buffers: &[GradBuffer], store: &mut ParamStore) {
+        let len = buffers.iter().map(|b| b.slots.len()).max().unwrap_or(0);
+        for idx in 0..len {
+            let mut rest = buffers;
+            while let Some((first, tail)) = rest.split_first() {
+                match first.slot(idx) {
+                    Slot::Empty => rest = tail,
+                    Slot::Dense(m) => {
+                        store.accumulate_grad(ParamId(idx), m);
+                        rest = tail;
+                    }
+                    Slot::Product { .. } => {
+                        let end = rest
+                            .iter()
+                            .position(|b| matches!(b.slot(idx), Slot::Dense(_)))
+                            .unwrap_or(rest.len());
+                        let (run, after) = rest.split_at(end);
+                        let factors = run.iter().filter_map(|b| match b.slot(idx) {
+                            Slot::Product { x, g } => Some((x, g)),
+                            _ => None,
+                        });
+                        add_products(&mut store.params[idx].grad, factors);
+                        rest = after;
+                    }
+                }
             }
+        }
+    }
+
+    /// The slot at index `idx` (empty past the end of the slot list).
+    fn slot(&self, idx: usize) -> &Slot {
+        self.slots.get(idx).unwrap_or(&Slot::Empty)
+    }
+
+    /// The slot of `id`, growing the slot list when needed.
+    fn slot_mut(&mut self, id: ParamId) -> &mut Slot {
+        if self.slots.len() <= id.0 {
+            self.slots.resize_with(id.0 + 1, Slot::default);
+        }
+        &mut self.slots[id.0]
+    }
+
+    /// A retired matrix of `shape`, or a fresh one (contents stale).
+    fn take_spare(&mut self, shape: (usize, usize)) -> Matrix {
+        match self.spare.iter().position(|m| m.shape() == shape) {
+            Some(i) => self.spare.swap_remove(i),
+            None => Matrix::zeros(shape.0, shape.1),
+        }
+    }
+
+    /// A copy of `src` in a recycled matrix. The contents are *copied
+    /// over* rather than zeroed-and-added: `0.0 + (−0.0)` is `+0.0`, so
+    /// an add from zero would not be bit-identical to a fresh clone.
+    fn copy_of(&mut self, src: &Matrix) -> Matrix {
+        let mut m = self.take_spare(src.shape());
+        m.copy_from(src);
+        m
+    }
+
+    /// Replaces a factored gradient of `id` by its product `xᵀ·g`,
+    /// computed by [`Matrix::matmul_tn_into`] — the value the slot held
+    /// before gradients were factored — so a later addition lands on
+    /// the same bits in the same order.
+    fn materialise(&mut self, id: ParamId) {
+        match std::mem::take(self.slot_mut(id)) {
+            Slot::Product { x, g } => {
+                let mut m = self.take_spare((x.cols(), g.cols()));
+                x.matmul_tn_into(&g, &mut m);
+                self.spare.extend([x, g]);
+                self.slots[id.0] = Slot::Dense(m);
+            }
+            other => self.slots[id.0] = other,
         }
     }
 }
 
 impl GradSink for GradBuffer {
     fn accumulate_grad(&mut self, id: ParamId, delta: &Matrix) {
-        if self.slots.len() <= id.0 {
-            self.slots.resize(id.0 + 1, None);
+        self.materialise(id);
+        if let Slot::Dense(g) = self.slot_mut(id) {
+            assert_eq!(g.shape(), delta.shape(), "gradient shape mismatch in GradBuffer");
+            g.add_assign(delta);
+            return;
         }
-        match &mut self.slots[id.0] {
-            Some(g) => {
-                assert_eq!(g.shape(), delta.shape(), "gradient shape mismatch in GradBuffer");
-                for (dst, src) in g.as_mut_slice().iter_mut().zip(delta.as_slice()) {
-                    *dst += src;
-                }
-            }
-            slot @ None => {
-                // Reuse a retired matrix of the same shape when one is
-                // available. The contents are *copied over* rather than
-                // zeroed-and-added: `0.0 + (−0.0)` is `+0.0`, so an add
-                // from zero would not be bit-identical to a fresh clone.
-                let recycled = self
-                    .spare
-                    .iter()
-                    .position(|m| m.shape() == delta.shape())
-                    .map(|i| self.spare.swap_remove(i));
-                *slot = Some(match recycled {
-                    Some(mut m) => {
-                        m.copy_from(delta);
-                        m
+        let copy = self.copy_of(delta);
+        self.slots[id.0] = Slot::Dense(copy);
+    }
+
+    fn accumulate_product(&mut self, id: ParamId, x: &Matrix, g: &Matrix) {
+        // A second gradient of the same parameter in one sample lands
+        // on the materialised first one, in arrival order.
+        self.materialise(id);
+        if let Slot::Dense(m) = self.slot_mut(id) {
+            add_products(m, std::iter::once((x, g)));
+            return;
+        }
+        let (x, g) = (self.copy_of(x), self.copy_of(g));
+        self.slots[id.0] = Slot::Product { x, g };
+    }
+}
+
+/// Columns per sweep of [`add_products`]: a row segment of a product is
+/// built in a stack buffer of this many values (8 KiB).
+const PRODUCT_COLS: usize = 1024;
+
+/// Adds the products `xᵀ·g` of `factors` into `dst`, in order, in one
+/// pass over `dst`.
+///
+/// Bit-identical to materialising each product with
+/// [`Matrix::matmul_tn_into`] and adding it with
+/// [`ParamStore::accumulate_grad`], one product after another: every
+/// element forms each product `Σ_k x[k,i]·g[k,j]` from `0.0` in
+/// ascending-`k` order, skipping the `x[k,i] == 0` terms exactly as
+/// `matmul_tn_into` does in both kernel tiers, and adds it to the
+/// element before the next product. Only the loops over elements are
+/// reordered: `dst` is walked row by row, and each row segment of a
+/// product is built in a stack buffer, streaming rows of `g`.
+fn add_products<'a>(
+    dst: &mut Matrix,
+    factors: impl Iterator<Item = (&'a Matrix, &'a Matrix)> + Clone,
+) {
+    let (rows, cols) = dst.shape();
+    for (x, g) in factors.clone() {
+        assert!(
+            x.rows() == g.rows() && (x.cols(), g.cols()) == (rows, cols),
+            "gradient shape mismatch: {:?}ᵀ·{:?} into {:?}",
+            x.shape(),
+            g.shape(),
+            dst.shape()
+        );
+    }
+    let mut buf = [0.0f64; PRODUCT_COLS];
+    for j0 in (0..cols).step_by(PRODUCT_COLS) {
+        let j1 = (j0 + PRODUCT_COLS).min(cols);
+        let p = &mut buf[..j1 - j0];
+        for i in 0..rows {
+            let d = &mut dst.row_mut(i)[j0..j1];
+            for (x, g) in factors.clone() {
+                p.fill(0.0);
+                for k in 0..x.rows() {
+                    let a = x[(k, i)];
+                    if a == 0.0 {
+                        continue;
                     }
-                    None => delta.clone(),
-                });
+                    for (o, &b) in p.iter_mut().zip(&g.row(k)[j0..j1]) {
+                        *o += a * b;
+                    }
+                }
+                for (o, &q) in d.iter_mut().zip(p.iter()) {
+                    *o += q;
+                }
             }
         }
     }
@@ -282,8 +431,6 @@ mod tests {
         GradSink::accumulate_grad(&mut buf, b, &Matrix::filled(2, 1, 2.0));
         GradSink::accumulate_grad(&mut buf, b, &Matrix::filled(2, 1, 0.25));
         assert!(!buf.is_empty());
-        assert_eq!(buf.get(b), Some(&Matrix::filled(2, 1, 2.25)));
-        assert_eq!(buf.get(a), None);
 
         buf.merge_into(&mut store);
         assert_eq!(store.grad(a), &Matrix::zeros(1, 2));
@@ -315,6 +462,20 @@ mod tests {
             buf.merge_into(&mut merged);
         }
         assert_eq!(serial.grad(id)[(0, 0)].to_bits(), merged.grad(id2)[(0, 0)].to_bits());
+    }
+
+    #[test]
+    fn a_second_gradient_lands_on_the_materialised_product() {
+        let x = Matrix::from_rows(&[&[1.0, 2.0]]);
+        let g = Matrix::from_rows(&[&[3.0]]);
+        let mut store = ParamStore::new();
+        let w = store.add("w", Matrix::zeros(2, 1));
+        let mut buf = GradBuffer::new();
+        GradSink::accumulate_product(&mut buf, w, &x, &g);
+        GradSink::accumulate_grad(&mut buf, w, &Matrix::filled(2, 1, 0.5));
+        GradSink::accumulate_product(&mut buf, w, &x, &g);
+        buf.merge_into(&mut store);
+        assert_eq!(store.grad(w), &Matrix::from_rows(&[&[6.5], &[12.5]]));
     }
 
     #[test]

@@ -85,6 +85,12 @@ pub(crate) enum Op {
     },
     Scale(NodeId, f64),
     MatMul(NodeId, NodeId),
+    /// `x · W` for the parameter `w`; `weight` is the tape's copy of W.
+    DenseMatMul {
+        x: NodeId,
+        w: ParamId,
+        weight: Matrix,
+    },
     AddRowBroadcast {
         x: NodeId,
         bias: NodeId,
@@ -211,6 +217,7 @@ impl Tape {
             pool.give(node.value);
             match node.op {
                 Op::Dropout { mask, .. } => pool.give(mask),
+                Op::DenseMatMul { weight, .. } => pool.give(weight),
                 Op::PolyConv { mut thetas, mut saved, .. } => {
                     for m in saved.drain(..) {
                         pool.give(m);
@@ -380,6 +387,24 @@ impl Tape {
         let mut v = pool.take_raw(av.rows(), bv.cols());
         av.matmul_into(bv, &mut v);
         self.push(v, Op::MatMul(a, b))
+    }
+
+    /// A dense layer's product `x · W` for the parameter `w`, copying W
+    /// in like [`Tape::param`].
+    ///
+    /// Its backward computes `dx = G·Wᵀ` like [`Tape::matmul`] does, but
+    /// hands W's gradient to the sink as its factors `(x, G)`
+    /// ([`crate::params::GradSink::accumulate_product`]) instead of
+    /// materialising the `in × out` product `xᵀ·G`.
+    pub fn dense_matmul(&mut self, x: NodeId, store: &ParamStore, w: ParamId) -> NodeId {
+        let Tape { nodes, pool, .. } = self;
+        let src = store.value(w);
+        let mut weight = pool.take_raw(src.rows(), src.cols());
+        weight.copy_from(src);
+        let xv = &nodes[x.0].value;
+        let mut v = pool.take_raw(xv.rows(), weight.cols());
+        xv.matmul_into(&weight, &mut v);
+        self.push(v, Op::DenseMatMul { x, w, weight })
     }
 
     /// Adds a `1 × c` bias row to every row of an `r × c` matrix.
@@ -870,6 +895,14 @@ impl Tape {
                     av.matmul_tn_into(&g, &mut gb);
                     accumulate_owned(pool, &mut grads, *a, ga);
                     accumulate_owned(pool, &mut grads, *b, gb);
+                    pool.give(g);
+                }
+                Op::DenseMatMul { x, w, weight } => {
+                    let xv = &nodes[x.0].value;
+                    let mut gx = pool.take_raw(xv.rows(), xv.cols());
+                    g.matmul_nt_into(weight, &mut gx);
+                    sink.accumulate_product(*w, xv, &g);
+                    accumulate_owned(pool, &mut grads, *x, gx);
                     pool.give(g);
                 }
                 Op::AddRowBroadcast { x, bias } => {

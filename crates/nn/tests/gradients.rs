@@ -4,9 +4,13 @@ use std::sync::Arc;
 
 use gcwc_graph::{ChebyshevBasis, PoolingMap, RandomWalkBasis};
 use gcwc_linalg::rng::seeded;
+use gcwc_linalg::tile::{with_tier, KernelTier};
 use gcwc_linalg::{CsrMatrix, Matrix};
 use gcwc_nn::gradcheck::{assert_gradients, assert_gradients_buffered};
-use gcwc_nn::{ConvSpec, GradBuffer, ParamStore, PoolSpec, Tape};
+use gcwc_nn::{ConvSpec, Dense, GradBuffer, NodeId, ParamStore, PoolSpec, Tape};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::Rng;
 
 const TOL: f64 = 1e-5;
 
@@ -710,5 +714,148 @@ fn backward_via_buffer_merge_is_bitwise_identical() {
         for (a, b) in pd.grad.as_slice().iter().zip(pm.grad.as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits(), "gradient of {id:?} diverged");
         }
+    }
+}
+
+/// An entry of a factored-gradient input: mostly finite, with exact
+/// zeros and `−0.0`, plus `±∞` and NaN when `non_finite` is set.
+fn factor_entry(rng: &mut StdRng, non_finite: bool) -> f64 {
+    match rng.random_range(0..if non_finite { 12 } else { 9 }) {
+        0 | 1 => 0.0,
+        2 => -0.0,
+        9 => f64::INFINITY,
+        10 => f64::NEG_INFINITY,
+        11 => f64::NAN,
+        _ => rng.random::<f64>() * 4.0 - 2.0,
+    }
+}
+
+/// `Σ_t sum(dense(x_t) ⊙ g_t)` over one sample's applications of the
+/// same layer, so that the cotangent reaching application `t` is
+/// exactly `g_t`.
+fn dense_sample_loss(
+    tape: &mut Tape,
+    store: &ParamStore,
+    dense: &Dense,
+    apps: &[(Matrix, Matrix)],
+) -> NodeId {
+    let mut loss = None;
+    for (x, g) in apps {
+        let xn = tape.constant_copied(x);
+        let y = dense.apply(tape, store, xn);
+        let gn = tape.constant_copied(g);
+        let weighted = tape.mul(y, gn);
+        let term = tape.sum_all(weighted);
+        loss = Some(match loss {
+            None => term,
+            Some(l) => tape.add(l, term),
+        });
+    }
+    loss.expect("every sample applies the layer")
+}
+
+/// A gradient's bits, NaN read as `None`: a gradient that the reference
+/// makes NaN need only be NaN (which NaN an addition of two NaNs returns
+/// depends on the operand order the code generator picks).
+fn bits_nan_alike(m: &Matrix) -> Vec<Option<u64>> {
+    m.as_slice().iter().map(|v| (!v.is_nan()).then(|| v.to_bits())).collect()
+}
+
+/// `xᵀ·g` by `matmul_tn_into`, the per-sample weight gradient a dense
+/// layer materialised before its gradient was factored.
+fn tn_product(x: &Matrix, g: &Matrix) -> Matrix {
+    let mut m = Matrix::zeros(x.cols(), g.cols());
+    x.matmul_tn_into(g, &mut m);
+    m
+}
+
+/// One case of `factored_dense_gradients_match_the_materialised_composition`
+/// under kernel tier `tier`.
+fn factored_case(seed: u64, tier: KernelTier) -> Result<(), TestCaseError> {
+    let mut rng = seeded(seed);
+    // The tape asserts finite values in debug builds, so ±∞ and NaN
+    // reach it only in release builds (CI runs both).
+    let non_finite = !cfg!(debug_assertions);
+    let (fan_in, fan_out) = (rng.random_range(1..41usize), rng.random_range(1..41usize));
+    let samples = rng.random_range(1..6usize);
+    let twice = rng.random_range(0..samples);
+    let mut store = ParamStore::new();
+    let dense = Dense::new(&mut store, &mut rng, "fc", fan_in, fan_out);
+    let mut batch: Vec<Vec<(Matrix, Matrix)>> = Vec::new();
+    for s in 0..samples {
+        let mut apps = Vec::new();
+        for _ in 0..if s == twice { 2 } else { 1 } {
+            let rows = rng.random_range(1..10usize);
+            let x = Matrix::from_fn(rows, fan_in, |_, _| factor_entry(&mut rng, non_finite));
+            let g = Matrix::from_fn(rows, fan_out, |_, _| factor_entry(&mut rng, non_finite));
+            apps.push((x, g));
+        }
+        batch.push(apps);
+    }
+
+    with_tier(tier, || {
+        // The composition before factoring: each application's product
+        // materialised, in the order backward visits them (the last
+        // application first), then added with `accumulate_grad` in
+        // sample order — through a per-sample buffer slot, or straight
+        // into the store.
+        let mut via_buffer = store.clone();
+        let mut via_store = store.clone();
+        for apps in &batch {
+            let mut slot: Option<Matrix> = None;
+            for (x, g) in apps.iter().rev() {
+                let product = tn_product(x, g);
+                via_store.accumulate_grad(dense.w, &product);
+                match &mut slot {
+                    Some(acc) => acc.add_assign(&product),
+                    None => slot = Some(product),
+                }
+            }
+            via_buffer.accumulate_grad(dense.w, &slot.expect("one application at least"));
+        }
+
+        let mut tape = Tape::new();
+        let mut buffers = vec![GradBuffer::new(); samples];
+        let mut direct = store.clone();
+        for (apps, buffer) in batch.iter().zip(&mut buffers) {
+            tape.reset();
+            let loss = dense_sample_loss(&mut tape, &store, &dense, apps);
+            tape.backward(loss, buffer);
+            tape.reset();
+            let loss = dense_sample_loss(&mut tape, &store, &dense, apps);
+            tape.backward(loss, &mut direct);
+        }
+        let mut batched = store.clone();
+        GradBuffer::merge_batch(&buffers, &mut batched);
+        let mut one_by_one = store.clone();
+        for buffer in &buffers {
+            buffer.merge_into(&mut one_by_one);
+        }
+
+        let want = bits_nan_alike(via_buffer.grad(dense.w));
+        prop_assert_eq!(bits_nan_alike(batched.grad(dense.w)), want.clone(), "batch merge");
+        prop_assert_eq!(bits_nan_alike(one_by_one.grad(dense.w)), want, "merge_into");
+        prop_assert_eq!(
+            bits_nan_alike(direct.grad(dense.w)),
+            bits_nan_alike(via_store.grad(dense.w)),
+            "backward into the store"
+        );
+        Ok(())
+    })
+}
+
+proptest! {
+    /// A dense layer's weight gradient, passed to the sink as its
+    /// factors and formed while merging, is bit-identical to the
+    /// composition it replaced — per-sample `matmul_tn_into` products
+    /// added in sample order — on all three paths: the batch merge,
+    /// `merge_into` one buffer at a time, and `backward` straight into a
+    /// `ParamStore`. Inputs hold exact zeros (the skipped terms), `−0.0`
+    /// and, in release builds, `±∞` and NaN; one sample applies the
+    /// layer twice. Both kernel tiers form the reference.
+    #[test]
+    fn factored_dense_gradients_match_the_materialised_composition(seed in 0u64..u64::MAX) {
+        factored_case(seed, KernelTier::Naive)?;
+        factored_case(seed, KernelTier::Tiled)?;
     }
 }

@@ -225,3 +225,117 @@ fn large_chebyshev_exercises_parallel_path_bitwise() {
         }
     }
 }
+
+/// A synthetic sample on an `n`-edge network: half the rows, at random,
+/// hold a random 8-bucket histogram that is also the row's label.
+fn pinned_sample(rng: &mut rand::rngs::StdRng, n: usize, index: usize) -> gcwc::TrainSample {
+    use rand::Rng;
+    let mut input = Matrix::zeros(n, 8);
+    let mut flags = vec![0.0; n];
+    for (i, flag) in flags.iter_mut().enumerate() {
+        if rng.random::<f64>() < 0.5 {
+            let row = input.row_mut(i);
+            row.iter_mut().for_each(|v| *v = rng.random::<f64>() + 0.01);
+            let total: f64 = row.iter().sum();
+            row.iter_mut().for_each(|v| *v /= total);
+            *flag = 1.0;
+        }
+    }
+    gcwc::TrainSample {
+        snapshot_index: index,
+        label: input.clone(),
+        input,
+        label_mask: flags.clone(),
+        context: gcwc_traffic::Context {
+            time_of_day: rng.random_range(0..96usize),
+            day_of_week: rng.random_range(0..7usize),
+            intervals_per_day: 96,
+            row_flags: flags,
+        },
+        history: Vec::new(),
+    }
+}
+
+/// FNV-1a over the `to_bits` of every parameter value in a checkpoint,
+/// in store order (the header line, names and shapes are skipped).
+fn param_bits_digest(checkpoint: &str) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for line in checkpoint.lines().skip(1).filter(|l| !l.starts_with("param ")) {
+        for token in line.split_whitespace() {
+            let bits = u64::from_str_radix(token, 16).expect("a hex parameter value");
+            for byte in bits.to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+    }
+    h
+}
+
+/// [`param_bits_digest`] of the checkpoint `save` writes, read back
+/// from a temporary file.
+fn checkpoint_digest(
+    tag: &str,
+    save: impl FnOnce(&std::path::Path) -> Result<(), gcwc_nn::PersistError>,
+) -> u64 {
+    let path = std::env::temp_dir().join(format!("{tag}-{}.ckpt", std::process::id()));
+    save(&path).expect("checkpoint write");
+    let text = std::fs::read_to_string(&path).expect("checkpoint read");
+    let _ = std::fs::remove_file(&path);
+    param_bits_digest(&text)
+}
+
+/// Training bits pinned across commits, not only across threads: GCWC
+/// and A-GCWC trained for two epochs (one three-sample batch each) at 1
+/// and 2 worker threads must land on parameters whose bits hash to the
+/// constants below. The CI city (172 edges) plans the naive kernel tier
+/// and its ×2 enlargement (344 edges) the tiled one.
+#[test]
+fn training_bits_match_the_pinned_digests() {
+    use gcwc::{AGcwcModel, CompletionModel, ConvLayer, GcwcModel, ModelConfig};
+    use gcwc_traffic::generators;
+
+    let city = generators::city_network(42).graph;
+    let doubled = generators::scaled_city(&city, 2);
+    assert_eq!(
+        gcwc_linalg::KernelTier::for_nodes(city.num_nodes()),
+        gcwc_linalg::KernelTier::Naive
+    );
+    assert_eq!(
+        gcwc_linalg::KernelTier::for_nodes(doubled.num_nodes()),
+        gcwc_linalg::KernelTier::Tiled
+    );
+    // (network, GCWC digest, A-GCWC digest)
+    let pinned =
+        [(&city, PINNED_CITY_GCWC, PINNED_CITY_AGCWC), (&doubled, PINNED_X2_GCWC, PINNED_X2_AGCWC)];
+    for (graph, want_gcwc, want_agcwc) in pinned {
+        let n = graph.num_nodes();
+        let mut rng = gcwc_linalg::rng::seeded(11);
+        let samples: Vec<_> = (0..3).map(|i| pinned_sample(&mut rng, n, i)).collect();
+        for threads in [1, 2] {
+            // The CI model scaled down to one light conv stage, so that
+            // eight trainings stay fast in a debug build.
+            let mut cfg = ModelConfig::ci_hist().with_epochs(2).with_threads(threads);
+            cfg.conv_layers = vec![ConvLayer { cheb_order: 2, filters: 2, pool: 2 }];
+            cfg.batch_size = 3;
+            let tag = format!("pinned-{n}-t{threads}");
+            let mut gcwc = GcwcModel::new(graph, 8, cfg.clone(), 7);
+            gcwc.fit(&samples);
+            let got = checkpoint_digest(&format!("{tag}-gcwc"), |p| gcwc.save(p));
+            assert_eq!(got, want_gcwc, "GCWC on {n} edges at {threads} threads");
+
+            let mut agcwc = AGcwcModel::new(graph, 8, 96, cfg, 7);
+            agcwc.fit(&samples);
+            let got = checkpoint_digest(&format!("{tag}-agcwc"), |p| agcwc.save(p));
+            assert_eq!(got, want_agcwc, "A-GCWC on {n} edges at {threads} threads");
+        }
+    }
+}
+
+// Digests of the parameters `training_bits_match_the_pinned_digests`
+// trains, recorded with every per-sample weight gradient materialised
+// by `matmul_tn_into` and merged one buffer at a time: the composition
+// the factored batch merge must reproduce bit for bit.
+const PINNED_CITY_GCWC: u64 = 5_246_282_714_393_358_441;
+const PINNED_CITY_AGCWC: u64 = 5_475_235_900_634_544_618;
+const PINNED_X2_GCWC: u64 = 12_681_669_381_820_689_594;
+const PINNED_X2_AGCWC: u64 = 9_282_461_580_741_484_749;
