@@ -17,11 +17,10 @@
 //!                      (legacy vs fused in-place pairs); with `--json`,
 //!                      also writes `BENCH_bench.json`
 //!   serve-bench        end-to-end serving load test (in-process,
-//!                      text TCP, binary TCP sequential + pipelined,
-//!                      and a connection-scaling sweep with up to 10k
-//!                      idle connections; cache stats, p50/p99,
-//!                      binary-vs-text speedup); with `--json`, also
-//!                      writes `BENCH_serve.json`
+//!                      binary TCP sequential + pipelined, and a
+//!                      connection-scaling sweep with up to 10k idle
+//!                      connections; cache stats, p50/p99); with
+//!                      `--json`, also writes `BENCH_serve.json`
 //!   shard-sweep        partitioned completion over the synthetic city,
 //!                      K ∈ {1,2,4} (or just `--shards=K`): training
 //!                      throughput + accuracy delta vs the unsharded

@@ -3,14 +3,13 @@
 //! Trains a tiny A-GCWC, saves it through the versioned checkpoint
 //! format, loads it into a `gcwc-serve` engine, and drives the full
 //! serving stack: in-process (the zero-allocation path), over TCP with
-//! the text debug protocol, over TCP with the length-prefixed binary
-//! protocol (sequential and pipelined), and a connection-scaling sweep
-//! that measures throughput while thousands of idle connections are
-//! parked on the reactor. Reports requests/s and p50/p99 latency per
-//! phase plus cache statistics and allocations/request, and asserts
-//! the invariants the CI step depends on: non-zero cache hits,
-//! bit-identical responses, a (generous) p99 latency bound, and
-//! pipelined binary throughput at least 2x the text protocol.
+//! the binary wire protocol (sequential and pipelined), and a
+//! connection-scaling sweep that measures throughput while thousands of
+//! idle connections are parked on the reactor. Reports requests/s and
+//! p50/p99 latency per phase plus cache statistics and
+//! allocations/request, and asserts the invariants the CI step depends
+//! on: non-zero cache hits, responses bit-identical to the in-process
+//! path, and a (generous) p99 latency bound.
 //!
 //! `allocs_per_request` is live only when the binary installs
 //! [`crate::allocs::CountingAlloc`] (the `count-allocs` feature);
@@ -21,7 +20,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use gcwc::{build_samples, AGcwcModel, CompletionModel, ModelConfig, TaskKind, TrainSample};
-use gcwc_serve::{AnyModel, BinClient, Engine, EngineConfig, Server, ServerConfig, TcpClient};
+use gcwc_serve::{AnyModel, BinClient, Engine, EngineConfig, Server, TenantId};
 use gcwc_traffic::{generators, simulate, HistogramSpec, SimConfig};
 
 use crate::allocs;
@@ -71,14 +70,10 @@ pub struct ServeBenchReport {
     pub in_process: PhaseStats,
     /// Repeat-context phase (every request a cache hit).
     pub cached: PhaseStats,
-    /// TCP phase, text debug protocol over loopback.
-    pub tcp: PhaseStats,
     /// TCP phase, binary protocol, one request in flight.
     pub tcp_binary: PhaseStats,
     /// TCP phase, binary protocol, 16 requests pipelined.
     pub tcp_pipelined: PhaseStats,
-    /// Pipelined binary throughput over text throughput.
-    pub binary_speedup_vs_text: f64,
     /// Throughput vs. parked idle connections.
     pub conn_scaling: Vec<ConnScalePoint>,
     /// Engine cache hits observed.
@@ -156,6 +151,9 @@ fn tiny_trained_model() -> (gcwc_traffic::NetworkInstance, Vec<TrainSample>, AGc
     (hw, samples, model)
 }
 
+/// The tenant [`Server::start`] serves its engine as.
+const TENANT: u64 = TenantId::DEFAULT.0;
+
 /// Drives `reqs` pipelined completions at the given depth over one
 /// binary connection; returns per-window latencies and total time.
 fn pipelined_run(
@@ -173,7 +171,7 @@ fn pipelined_run(
         for k in 0..window {
             let s = &pool[(issued + k) % pool.len()];
             client
-                .send_complete(&s.input, s.context.time_of_day, s.context.day_of_week)
+                .send_tcomplete(TENANT, &s.input, s.context.time_of_day, s.context.day_of_week)
                 .expect("pipelined send");
         }
         for _ in 0..window {
@@ -286,35 +284,10 @@ pub fn run() -> ServeBenchReport {
     let stats = engine.stats();
     assert!(stats.cache_hits > 0, "serving must produce cache hits: {stats:?}");
 
-    // One server carries every TCP phase: binary on `addr()`, the
-    // text debug protocol on `text_addr()`.
-    let mut server = Server::start_with(
-        Arc::clone(&engine),
-        "127.0.0.1:0",
-        ServerConfig { text_port: Some(0), ..Default::default() },
-    )
-    .expect("bind server");
-    let text_addr = server.text_addr().expect("text port");
+    // One server carries every TCP phase.
+    let mut server = Server::start(Arc::clone(&engine), "127.0.0.1:0").expect("bind server");
 
-    // Phase 3: the text debug protocol over loopback.
-    let mut tcp = TcpClient::connect(text_addr).expect("connect");
-    assert!(tcp.ping().expect("ping"), "server must answer ping");
-    let mut ns = Vec::with_capacity(100);
-    let t0 = Instant::now();
-    for k in 0..100usize {
-        let s = &pool[k % pool.len()];
-        let t = Instant::now();
-        let resp = tcp
-            .complete(&s.input, s.context.time_of_day, s.context.day_of_week)
-            .expect("tcp request");
-        ns.push(t.elapsed().as_nanos() as u64);
-        assert_eq!(resp.output.rows(), s.input.rows());
-    }
-    let total = t0.elapsed().as_nanos() as u64;
-    let tcp_stats = phase_from(&mut ns, total, 0);
-    tcp.quit().expect("quit");
-
-    // Phase 4: the binary protocol, one request in flight — and the
+    // Phase 3: the binary protocol, one request in flight — and the
     // responses must carry the exact bits the in-process path served.
     let mut bin = BinClient::connect(server.addr()).expect("connect binary");
     assert!(bin.ping().expect("ping"), "server must answer binary ping");
@@ -324,11 +297,12 @@ pub fn run() -> ServeBenchReport {
         let s = &pool[k % pool.len()];
         let t = Instant::now();
         let resp = bin
-            .complete(&s.input, s.context.time_of_day, s.context.day_of_week)
+            .tcomplete(TENANT, &s.input, s.context.time_of_day, s.context.day_of_week)
             .expect("binary request");
         ns.push(t.elapsed().as_nanos() as u64);
         if k % pool.len() == 0 {
             let same = resp
+                .body
                 .output
                 .as_slice()
                 .iter()
@@ -340,13 +314,12 @@ pub fn run() -> ServeBenchReport {
     let total = t0.elapsed().as_nanos() as u64;
     let tcp_binary = phase_from(&mut ns, total, 0);
 
-    // Phase 5: the binary protocol with 16 requests pipelined on one
+    // Phase 4: the binary protocol with 16 requests pipelined on one
     // connection.
     let (mut ns, total) = pipelined_run(&mut bin, pool, 16, 512);
     let tcp_pipelined = pipelined_phase(&mut ns, total, 512);
-    let binary_speedup_vs_text = tcp_pipelined.requests_per_sec / tcp_stats.requests_per_sec;
 
-    // Phase 6: connection scaling — park idle binary connections on
+    // Phase 5: connection scaling — park idle binary connections on
     // the reactor, then measure one active connection at pipeline
     // depths 1 and 16. Throughput must not collapse and the process
     // thread count must not grow with connections.
@@ -392,24 +365,14 @@ pub fn run() -> ServeBenchReport {
     // serving-stack pathology (deadlock, missed wake-up, busy loop).
     const P99_BOUND_NS: u64 = 500_000_000;
     assert!(in_process.p99_ns < P99_BOUND_NS, "in-process p99 too high: {in_process:?}");
-    assert!(tcp_stats.p99_ns < P99_BOUND_NS, "tcp p99 too high: {tcp_stats:?}");
     assert!(tcp_binary.p99_ns < P99_BOUND_NS, "binary p99 too high: {tcp_binary:?}");
-    assert!(
-        binary_speedup_vs_text >= 2.0,
-        "pipelined binary must be at least 2x the text protocol: {binary_speedup_vs_text:.2}x \
-         (text {:.0} req/s, pipelined {:.0} req/s)",
-        tcp_stats.requests_per_sec,
-        tcp_pipelined.requests_per_sec
-    );
 
     let final_stats = engine.stats();
     ServeBenchReport {
         in_process,
         cached,
-        tcp: tcp_stats,
         tcp_binary,
         tcp_pipelined,
-        binary_speedup_vs_text,
         conn_scaling,
         cache_hits: final_stats.cache_hits,
         cache_misses: final_stats.cache_misses,
@@ -429,7 +392,6 @@ pub fn render(r: &ServeBenchReport) -> String {
     for (name, p) in [
         ("in_process", &r.in_process),
         ("cached", &r.cached),
-        ("tcp_text", &r.tcp),
         ("tcp_binary", &r.tcp_binary),
         ("tcp_pipe16", &r.tcp_pipelined),
     ] {
@@ -439,7 +401,6 @@ pub fn render(r: &ServeBenchReport) -> String {
             name, p.requests, p.requests_per_sec, p.p50_ns, p.p99_ns, p.allocs_per_request
         );
     }
-    let _ = writeln!(s, "binary pipelined vs text: {:.1}x", r.binary_speedup_vs_text);
     let _ = writeln!(
         s,
         "{:<14}{:>8}{:>10}{:>14}{:>14}{:>10}",
@@ -479,13 +440,10 @@ pub fn to_json(r: &ServeBenchReport) -> String {
     s.push_str(",\n");
     phase(&mut s, "cached", &r.cached);
     s.push_str(",\n");
-    phase(&mut s, "tcp", &r.tcp);
-    s.push_str(",\n");
     phase(&mut s, "tcp_binary", &r.tcp_binary);
     s.push_str(",\n");
     phase(&mut s, "tcp_pipelined", &r.tcp_pipelined);
     s.push_str(",\n");
-    let _ = writeln!(s, "  \"binary_speedup_vs_text\": {:.2},", r.binary_speedup_vs_text);
     s.push_str("  \"connection_scaling\": [\n");
     for (i, p) in r.conn_scaling.iter().enumerate() {
         let _ = write!(

@@ -262,7 +262,7 @@ struct Counters {
 
 /// Shared counters of the streaming-ingestion pipeline (`gcwc-ingest`
 /// feeds them; the engine folds them into [`StatsSnapshot`] so the
-/// wire `stats` response surfaces refresh observability without the
+/// wire stats response surfaces refresh observability without the
 /// serving layer depending on the ingest crate). All monotonic except
 /// `generation_age`, a gauge: slots sealed since the last applied
 /// refresh — how stale the served model is in slot units.
@@ -324,7 +324,7 @@ impl IngestStats {
 }
 
 /// Point-in-time view of the engine counters.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Requests accepted into the queue.
     pub requests: u64,
@@ -372,76 +372,49 @@ pub struct StatsSnapshot {
     pub generation_age: u64,
     /// The tenant's graph-topology generation: bumped on every applied
     /// [`gcwc_graph::GraphDelta`], so clients detect topology swaps.
-    /// `0` for a legacy (tenant-less) engine.
+    /// `0` for an engine read outside its tenant ([`Engine::stats`]).
     pub graph_generation: u64,
     /// Requests rejected by the tenant's quota (token bucket empty or
-    /// the `serve.tenant.quota` failpoint armed). `0` for a legacy
-    /// engine — quotas exist only at the tenant layer.
+    /// the `serve.tenant.quota` failpoint armed). `0` for an engine
+    /// read outside its tenant — quotas exist only at the tenant layer.
     pub quota_rejected: u64,
 }
 
 impl StatsSnapshot {
-    /// Number of `u64` fields in the per-tenant serialization (the 20
-    /// legacy counters plus `graph_generation` and `quota_rejected`).
-    pub const TENANT_FIELDS: usize = 22;
+    /// Every counter under its wire name (the field's own name), in
+    /// wire order: the one table the stats response (opcode 0x86) is
+    /// encoded from and decoded by ([`crate::wire::encode_tstats`],
+    /// [`crate::wire::decode_tstats`]). A new counter is a field above
+    /// plus one line here.
+    pub const FIELDS: &'static [(&'static str, fn(&mut StatsSnapshot) -> &mut u64)] = &[
+        ("requests", |s| &mut s.requests),
+        ("completed", |s| &mut s.completed),
+        ("batches", |s| &mut s.batches),
+        ("rejected", |s| &mut s.rejected),
+        ("expired", |s| &mut s.expired),
+        ("cache_hits", |s| &mut s.cache_hits),
+        ("cache_misses", |s| &mut s.cache_misses),
+        ("cache_evictions", |s| &mut s.cache_evictions),
+        ("generation", |s| &mut s.generation),
+        ("shards", |s| &mut s.shards),
+        ("worker_restarts", |s| &mut s.worker_restarts),
+        ("breaker_open", |s| &mut s.breaker_open),
+        ("degraded_responses", |s| &mut s.degraded_responses),
+        ("retries", |s| &mut s.retries),
+        ("records_ingested", |s| &mut s.records_ingested),
+        ("slots_sealed", |s| &mut s.slots_sealed),
+        ("late_records_dropped", |s| &mut s.late_records_dropped),
+        ("refreshes_applied", |s| &mut s.refreshes_applied),
+        ("refreshes_rolled_back", |s| &mut s.refreshes_rolled_back),
+        ("generation_age", |s| &mut s.generation_age),
+        ("graph_generation", |s| &mut s.graph_generation),
+        ("quota_rejected", |s| &mut s.quota_rejected),
+    ];
 
-    /// Canonical per-tenant field order, shared by the text (`tstats`)
-    /// and binary (`RespTStats`) protocols — both serialize exactly
-    /// this array, so the two wire forms agree field for field by
-    /// construction.
-    pub fn tenant_fields(&self) -> [u64; Self::TENANT_FIELDS] {
-        [
-            self.requests,
-            self.completed,
-            self.batches,
-            self.rejected,
-            self.expired,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_evictions,
-            self.generation,
-            self.shards,
-            self.worker_restarts,
-            self.breaker_open,
-            self.degraded_responses,
-            self.retries,
-            self.records_ingested,
-            self.slots_sealed,
-            self.late_records_dropped,
-            self.refreshes_applied,
-            self.refreshes_rolled_back,
-            self.generation_age,
-            self.graph_generation,
-            self.quota_rejected,
-        ]
-    }
-
-    /// Inverse of [`StatsSnapshot::tenant_fields`].
-    pub fn from_tenant_fields(f: [u64; Self::TENANT_FIELDS]) -> Self {
-        Self {
-            requests: f[0],
-            completed: f[1],
-            batches: f[2],
-            rejected: f[3],
-            expired: f[4],
-            cache_hits: f[5],
-            cache_misses: f[6],
-            cache_evictions: f[7],
-            generation: f[8],
-            shards: f[9],
-            worker_restarts: f[10],
-            breaker_open: f[11],
-            degraded_responses: f[12],
-            retries: f[13],
-            records_ingested: f[14],
-            slots_sealed: f[15],
-            late_records_dropped: f[16],
-            refreshes_applied: f[17],
-            refreshes_rolled_back: f[18],
-            generation_age: f[19],
-            graph_generation: f[20],
-            quota_rejected: f[21],
-        }
+    /// The counters as `(name, value)` pairs, in [`Self::FIELDS`] order.
+    pub fn named(&self) -> impl Iterator<Item = (&'static str, u64)> {
+        let mut s = *self;
+        Self::FIELDS.iter().map(move |&(name, field)| (name, *field(&mut s)))
     }
 }
 

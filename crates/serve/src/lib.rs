@@ -20,19 +20,19 @@
 //!
 //! The crate is dependency-free (std plus a thin epoll shim declared
 //! straight against the C library — see [`sys`]): the TCP front end is
-//! a single reactor thread multiplexing every connection, speaking a
-//! length-prefixed binary protocol ([`wire`]) with request pipelining,
-//! plus an optional newline-delimited text debug port ([`protocol`]).
-//! In-process callers use [`Client`] directly — that path performs
-//! zero heap allocations per request once warm.
+//! a single reactor thread multiplexing every connection, speaking one
+//! length-prefixed binary protocol ([`wire`]) with request pipelining.
+//! Every wire request names a tenant ([`TenantId`]); counters travel
+//! by name ([`StatsSnapshot::FIELDS`]). In-process callers use
+//! [`Client`] directly — that path performs zero heap allocations per
+//! request once warm.
 //!
 //! ```text
 //! checkpoint ─▶ ModelRegistry ─▶ snapshot
 //!                                   │
 //! Client ─▶ BoundedQueue ─▶ worker ─┼▶ CompletionCache ──▶ response
 //!   ▲                               └▶ batched infer ─┘
-//!   ├───── epoll reactor ── binary frames (pipelined, bit-exact)
-//!   └───── epoll reactor ── text debug port (newline-delimited)
+//!   └───── epoll reactor ── binary frames (tenant-scoped, pipelined, bit-exact)
 //! ```
 
 #![warn(missing_docs)]
@@ -56,7 +56,7 @@ pub use engine::{
 pub use health::{Admission, BreakerConfig, ShardHealth};
 pub use queue::BoundedQueue;
 pub use registry::{AnyModel, ModelRegistry, ModelShard, ModelSnapshot, TopologyUpdate};
-pub use server::{BinClient, Server, ServerConfig, TcpClient};
+pub use server::{BinClient, Server, ServerConfig};
 pub use tenant::{QuotaConfig, Tenant, TenantId, TenantRegistry, TokenBucket};
 
 use gcwc_linalg::Matrix;
@@ -71,9 +71,6 @@ pub mod failsite {
     pub const WORKER_LOOP: &str = "serve.worker.loop";
     /// Accept loop: a triggered site drops the fresh connection.
     pub const ACCEPT: &str = "serve.server.accept";
-    /// Text-connection read path: a triggered site closes the
-    /// connection.
-    pub const READ: &str = "serve.server.read";
     /// Connection write path: a triggered site closes the connection.
     pub const WRITE: &str = "serve.server.write";
     /// Reactor event-loop tick: a triggered (or panicking) site skips
@@ -81,8 +78,8 @@ pub mod failsite {
     /// re-delivers them, so a skipped tick delays work but never
     /// loses it.
     pub const REACTOR_TICK: &str = "serve.reactor.tick";
-    /// Binary-connection read path: a triggered site tears the
-    /// connection down mid-session (peer-reset injection).
+    /// Connection read path: a triggered site tears the connection
+    /// down mid-session (peer-reset injection).
     pub const CONN_READ: &str = "serve.conn.read";
     /// Checkpoint load into a shard: `err` fails the load (the old
     /// snapshot keeps serving).
@@ -138,7 +135,8 @@ pub enum ServeError {
     Checkpoint(gcwc_nn::PersistError),
     /// Socket-level failure on the TCP front end.
     Io(std::io::Error),
-    /// The peer sent a line the wire protocol cannot parse.
+    /// The peer sent bytes the wire protocol cannot decode, or a frame
+    /// it does not expect.
     Protocol(String),
 }
 
@@ -173,10 +171,9 @@ impl From<std::io::Error> for ServeError {
     }
 }
 
-/// The wire error code of a [`ServeError`] (stable tokens for the text
-/// protocol's `err <code> <message>` responses).
 impl ServeError {
-    /// Short machine-readable code used on the wire.
+    /// Short machine-readable code carried by the wire protocol's error
+    /// frame (0xEE) ahead of the message.
     pub fn code(&self) -> &'static str {
         match self {
             ServeError::Overloaded => "overloaded",

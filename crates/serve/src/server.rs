@@ -4,15 +4,10 @@
 //! per connection — the only threads are the reactor and the engine's
 //! own workers.
 //!
-//! Two listeners share the reactor and the engine:
-//!
-//! * the **binary** port (always on) speaks the length-prefixed frame
-//!   protocol of [`crate::wire`] with request pipelining — many
-//!   in-flight request ids per connection, responses completing out
-//!   of order as the batched engine finishes them;
-//! * an optional **text** port ([`ServerConfig::text_port`]) keeps the
-//!   newline-delimited debug protocol of [`crate::protocol`] alive,
-//!   one request at a time per connection.
+//! The listener speaks the length-prefixed frame protocol of
+//! [`crate::wire`] with request pipelining: many in-flight request ids
+//! per connection, responses completing out of order as the batched
+//! engine finishes them.
 //!
 //! Requests are submitted through [`crate::Engine::submit`]: the
 //! completion hook pushes the finished result onto a queue and wakes
@@ -24,18 +19,17 @@
 //! simply stops reading that socket, pushing backpressure into TCP.
 //!
 //! **Multi-tenancy.** One reactor serves every tenant of a
-//! [`TenantRegistry`] ([`Server::start_tenants`]): tenant-form
-//! requests (`tcomplete`/`tstats`, opcodes 0x05/0x06) route to their
-//! tenant's own engine, queue, caches, and quota, while the legacy
-//! tenant-less forms address [`TenantId::DEFAULT`]. Isolation is
-//! structural — tenants share nothing but the reactor thread and the
-//! listeners, so one tenant's open breakers or exhausted quota cannot
-//! alter another tenant's responses. [`Server::start`] remains the
-//! single-tenant path: it adopts the engine as the default tenant and
-//! stays byte-compatible with pre-tenancy builds.
+//! [`TenantRegistry`] ([`Server::start_tenants`]): every request
+//! (`tcomplete`/`tstats`, opcodes 0x05/0x06) names its tenant and
+//! routes to that tenant's own engine, queue, caches, and quota.
+//! Isolation is structural — tenants share nothing but the reactor
+//! thread and the listener, so one tenant's open breakers or exhausted
+//! quota cannot alter another tenant's responses. [`Server::start`] is
+//! the single-tenant path: it registers its engine as
+//! [`TenantId::DEFAULT`] (id 0).
 
-use crate::engine::{Completion, CompletionHook, Engine};
-use crate::protocol::{self, Request};
+use crate::engine::{Completion, CompletionHook, Engine, StatsSnapshot};
+use crate::protocol::TokResponse;
 use crate::sys::{Poller, Waker};
 use crate::tenant::{Tenant, TenantId, TenantRegistry};
 use crate::wire::{self, Opcode};
@@ -49,17 +43,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// Largest request line accepted on the text port (the biggest
-/// admissible wire matrix plus room for the command head).
-const MAX_LINE_BYTES: usize = protocol::MAX_WIRE_ELEMS * protocol::WIRE_ELEM_BYTES + 128;
-
-/// Receive-buffer hard cap per binary connection: one maximal frame
-/// plus a read burst. A peer that pushes more unparseable bytes than
-/// this (slowloris-style) is disconnected with a typed error.
-const BIN_RBUF_CAP: usize = wire::HEADER_LEN + wire::MAX_FRAME_PAYLOAD + (1 << 20);
-
-/// Receive-buffer hard cap per text connection.
-const TEXT_RBUF_CAP: usize = MAX_LINE_BYTES + (1 << 16);
+/// Receive-buffer hard cap per connection: one maximal frame plus a
+/// read burst. A peer that pushes more unparseable bytes than this
+/// (slowloris-style) is disconnected with a typed error.
+const RBUF_CAP: usize = wire::HEADER_LEN + wire::MAX_FRAME_PAYLOAD + (1 << 20);
 
 /// Send-buffer hard cap: a peer that stops reading while responses
 /// accumulate past this is disconnected (slow-reader protection).
@@ -73,17 +60,11 @@ const MAX_READS_PER_EVENT: usize = 16;
 const POOL_CAP: usize = 64;
 
 const TOKEN_WAKER: u64 = u64::MAX;
-const TOKEN_BIN_LISTENER: u64 = u64::MAX - 1;
-const TOKEN_TEXT_LISTENER: u64 = u64::MAX - 2;
+const TOKEN_LISTENER: u64 = u64::MAX - 1;
 
 /// Front-end tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
-    /// When set, also serve the newline-delimited text protocol on
-    /// this port (on the same IP as the binary listener; `0` picks an
-    /// ephemeral port — see [`Server::text_addr`]). `None` (the
-    /// default) serves the binary protocol only.
-    pub text_port: Option<u16>,
     /// Maximum concurrent connections; beyond it fresh accepts are
     /// dropped (the peer sees EOF and may retry).
     pub max_conns: usize,
@@ -94,7 +75,7 @@ pub struct ServerConfig {
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        Self { text_port: None, max_conns: 16_384, max_inflight_per_conn: 1_024 }
+        Self { max_conns: 16_384, max_inflight_per_conn: 1_024 }
     }
 }
 
@@ -107,10 +88,6 @@ struct Done {
     /// Index into the reactor's tenant table (owns the buffer pools
     /// the completion's matrices return to).
     tenant: usize,
-    /// `Some(tenant id)` when the request arrived in tenant form and
-    /// must be answered in tenant form (carrying the tenant's graph
-    /// generation); `None` keeps the legacy reply byte-identical.
-    treply: Option<u64>,
     result: Result<Completion, ServeError>,
 }
 
@@ -126,40 +103,24 @@ struct Shared {
 /// A running TCP front end over an [`Engine`].
 pub struct Server {
     addr: SocketAddr,
-    text_addr: Option<SocketAddr>,
     shared: Arc<Shared>,
     reactor: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Server {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// starts the binary front end against `engine` with the default
-    /// [`ServerConfig`].
+    /// serves `engine` as tenant [`TenantId::DEFAULT`] (no quota) with
+    /// the default [`ServerConfig`].
     pub fn start<A: ToSocketAddrs>(engine: Arc<Engine>, addr: A) -> std::io::Result<Self> {
-        Self::start_with(engine, addr, ServerConfig::default())
-    }
-
-    /// Like [`Server::start`], with explicit tuning — notably
-    /// [`ServerConfig::text_port`] for the debug text protocol. The
-    /// engine is adopted as [`TenantId::DEFAULT`] with no quota, so
-    /// legacy tenant-less traffic is served exactly as before
-    /// multi-tenancy existed.
-    pub fn start_with<A: ToSocketAddrs>(
-        engine: Arc<Engine>,
-        addr: A,
-        cfg: ServerConfig,
-    ) -> std::io::Result<Self> {
         let tenants = TenantRegistry::new();
         tenants.adopt(TenantId::DEFAULT, engine, None);
-        Self::start_tenants(&Arc::new(tenants), addr, cfg)
+        Self::start_tenants(&Arc::new(tenants), addr, ServerConfig::default())
     }
 
     /// Starts the front end over every tenant registered in `tenants`
     /// — the multi-city entry point. The tenant set is snapshotted at
     /// start: tenants registered later answer
     /// [`ServeError::UnknownTenant`] until a new front end is started.
-    /// Legacy tenant-less requests are served by the
-    /// [`TenantId::DEFAULT`] tenant when one is registered.
     pub fn start_tenants<A: ToSocketAddrs>(
         tenants: &Arc<TenantRegistry>,
         addr: A,
@@ -178,23 +139,11 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let text_listener = match cfg.text_port {
-            Some(port) => {
-                let l = TcpListener::bind((addr.ip(), port))?;
-                l.set_nonblocking(true)?;
-                Some(l)
-            }
-            None => None,
-        };
-        let text_addr = text_listener.as_ref().map(|l| l.local_addr()).transpose()?;
 
         let poller = Poller::new()?;
         let waker = Waker::new()?;
         poller.add(waker.fd(), TOKEN_WAKER, true, false)?;
-        poller.add(listener.as_raw_fd(), TOKEN_BIN_LISTENER, true, false)?;
-        if let Some(l) = &text_listener {
-            poller.add(l.as_raw_fd(), TOKEN_TEXT_LISTENER, true, false)?;
-        }
+        poller.add(listener.as_raw_fd(), TOKEN_LISTENER, true, false)?;
 
         let shared = Arc::new(Shared {
             running: AtomicBool::new(true),
@@ -204,41 +153,31 @@ impl Server {
         });
         let by_id: HashMap<u64, usize> =
             states.iter().enumerate().map(|(i, s)| (s.tenant.id().0, i)).collect();
-        let default_idx = by_id.get(&TenantId::DEFAULT.0).copied();
         let mut reactor = Reactor {
             shared: Arc::clone(&shared),
             poller,
             listener,
-            text_listener,
             cfg,
             slots: Vec::new(),
             free: Vec::new(),
             tenants: states,
             by_id,
-            default_idx,
             scratch: vec![0u8; 64 << 10],
-            text_buf: String::new(),
         };
         let handle = std::thread::Builder::new()
             .name("gcwc-serve-reactor".into())
             .spawn(move || reactor.run())
             .expect("spawn reactor");
 
-        Ok(Self { addr, text_addr, shared, reactor: Some(handle) })
+        Ok(Self { addr, shared, reactor: Some(handle) })
     }
 
-    /// The bound binary-protocol address (useful with ephemeral ports).
+    /// The bound address (useful with ephemeral ports).
     pub fn addr(&self) -> SocketAddr {
         self.addr
     }
 
-    /// The bound text-protocol address, when
-    /// [`ServerConfig::text_port`] was set.
-    pub fn text_addr(&self) -> Option<SocketAddr> {
-        self.text_addr
-    }
-
-    /// Connections currently held by the reactor (both protocols).
+    /// Connections currently held by the reactor.
     pub fn open_connections(&self) -> usize {
         self.shared.open_conns.load(Ordering::Acquire)
     }
@@ -264,8 +203,6 @@ impl Drop for Server {
 /// Per-connection state machine.
 struct Conn {
     stream: TcpStream,
-    /// True for connections accepted on the text listener.
-    text: bool,
     rbuf: Vec<u8>,
     /// Consumed prefix of `rbuf` (compacted after each process pass).
     rstart: usize,
@@ -286,16 +223,12 @@ struct Conn {
     fatal: bool,
     /// Tear down now (I/O error, failpoint, slow reader).
     dead: bool,
-    /// Text connections serve strictly in order: a submitted
-    /// `complete` blocks parsing of further lines until answered.
-    text_waiting: bool,
 }
 
 impl Conn {
-    fn new(stream: TcpStream, text: bool) -> Self {
+    fn new(stream: TcpStream) -> Self {
         Self {
             stream,
-            text,
             rbuf: Vec::new(),
             rstart: 0,
             wbuf: Vec::new(),
@@ -306,20 +239,11 @@ impl Conn {
             draining: false,
             fatal: false,
             dead: false,
-            text_waiting: false,
         }
     }
 
     fn flushed(&self) -> bool {
         self.wstart >= self.wbuf.len()
-    }
-
-    fn rbuf_cap(&self) -> usize {
-        if self.text {
-            TEXT_RBUF_CAP
-        } else {
-            BIN_RBUF_CAP
-        }
     }
 }
 
@@ -366,7 +290,6 @@ struct Reactor {
     shared: Arc<Shared>,
     poller: Poller,
     listener: TcpListener,
-    text_listener: Option<TcpListener>,
     cfg: ServerConfig,
     slots: Vec<Slot>,
     free: Vec<usize>,
@@ -374,10 +297,7 @@ struct Reactor {
     tenants: Vec<TenantState>,
     /// Tenant id → index into `tenants`.
     by_id: HashMap<u64, usize>,
-    /// Index of the default tenant (serves legacy tenant-less forms).
-    default_idx: Option<usize>,
     scratch: Vec<u8>,
-    text_buf: String,
 }
 
 /// Builds the hook an engine worker runs when a reactor-submitted
@@ -388,21 +308,20 @@ fn completion_hook(
     gen: u64,
     request_id: u64,
     tenant: usize,
-    treply: Option<u64>,
 ) -> CompletionHook {
     let shared = Arc::clone(shared);
     Box::new(move |result| {
         let mut done = shared.done.lock().unwrap_or_else(PoisonError::into_inner);
-        done.push(Done { token, gen, request_id, tenant, treply, result });
+        done.push(Done { token, gen, request_id, tenant, result });
         drop(done);
         shared.waker.wake();
     })
 }
 
-/// Shared submission tail of the binary `complete`/`tcomplete` forms:
-/// pooled buffers, input hardening, engine submit, inline error frame
-/// on refusal. Takes the connection's fields individually because the
-/// decoded request still borrows its receive buffer.
+/// Submission tail of a `tcomplete` request: pooled buffers, input
+/// hardening, engine submit, inline error frame on refusal. Takes the
+/// connection's fields individually because the decoded request still
+/// borrows its receive buffer.
 #[allow(clippy::too_many_arguments)]
 fn submit_decoded(
     state: &mut TenantState,
@@ -413,7 +332,6 @@ fn submit_decoded(
     idx: usize,
     gen: u64,
     request_id: u64,
-    treply: Option<u64>,
     req: &wire::CompleteRequest<'_>,
 ) {
     if (req.rows, req.cols) != state.in_shape {
@@ -432,7 +350,7 @@ fn submit_decoded(
                 .spare_outputs
                 .pop()
                 .unwrap_or_else(|| Matrix::zeros(state.out_shape.0, state.out_shape.1));
-            let hook = completion_hook(shared, idx, gen, request_id, state_idx, treply);
+            let hook = completion_hook(shared, idx, gen, request_id, state_idx);
             match state.tenant.engine().submit(
                 input,
                 out_buf,
@@ -454,41 +372,6 @@ fn submit_decoded(
         Err(e) => {
             recycle(&mut state.spare_inputs, input, state.in_shape);
             wire::encode_err(wbuf, request_id, &e.into());
-        }
-    }
-}
-
-/// Shared submission tail of the text `complete`/`tcomplete` forms.
-#[allow(clippy::too_many_arguments)]
-fn submit_text(
-    state: &mut TenantState,
-    state_idx: usize,
-    conn: &mut Conn,
-    shared: &Arc<Shared>,
-    idx: usize,
-    gen: u64,
-    treply: Option<u64>,
-    time_of_day: usize,
-    day_of_week: usize,
-    input: Matrix,
-    text_buf: &mut String,
-) {
-    if input.shape() != state.in_shape {
-        state.refresh_shapes();
-    }
-    let out_buf = state
-        .spare_outputs
-        .pop()
-        .unwrap_or_else(|| Matrix::zeros(state.out_shape.0, state.out_shape.1));
-    let hook = completion_hook(shared, idx, gen, 0, state_idx, treply);
-    match state.tenant.engine().submit(input, out_buf, time_of_day, day_of_week, None, hook) {
-        Ok(()) => {
-            conn.in_flight += 1;
-            conn.text_waiting = true;
-        }
-        Err(refused) => {
-            recycle(&mut state.spare_outputs, refused.out_buf, state.out_shape);
-            protocol::write_err(text_buf, &refused.error);
         }
     }
 }
@@ -518,8 +401,7 @@ impl Reactor {
                         self.shared.waker.drain();
                         self.drain_done();
                     }
-                    TOKEN_BIN_LISTENER => self.accept(false),
-                    TOKEN_TEXT_LISTENER => self.accept(true),
+                    TOKEN_LISTENER => self.accept(),
                     token => self.conn_event(token as usize, ev.readable, ev.writable, ev.hangup),
                 }
             }
@@ -534,14 +416,9 @@ impl Reactor {
         }
     }
 
-    fn accept(&mut self, text: bool) {
+    fn accept(&mut self) {
         loop {
-            let listener = if text {
-                self.text_listener.as_ref().expect("text event without text listener")
-            } else {
-                &self.listener
-            };
-            match listener.accept() {
+            match self.listener.accept() {
                 Ok((stream, _)) => {
                     // Failpoint: a triggered accept drops the fresh
                     // connection (the peer sees EOF and may
@@ -563,7 +440,7 @@ impl Reactor {
                         self.free.push(idx);
                         continue;
                     }
-                    self.slots[idx].conn = Some(Conn::new(stream, text));
+                    self.slots[idx].conn = Some(Conn::new(stream));
                     self.shared.open_conns.fetch_add(1, Ordering::AcqRel);
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
@@ -607,12 +484,10 @@ impl Reactor {
         }
         // Failpoint: a triggered read tears the connection down
         // mid-session, as a peer reset or fd exhaustion would.
-        let site = if conn.text { failsite::READ } else { failsite::CONN_READ };
-        if gcwc_failpoint::triggered(site) {
+        if gcwc_failpoint::triggered(failsite::CONN_READ) {
             conn.dead = true;
             return;
         }
-        let cap = conn.rbuf_cap();
         for _ in 0..MAX_READS_PER_EVENT {
             match conn.stream.read(&mut self.scratch) {
                 Ok(0) => {
@@ -620,18 +495,13 @@ impl Reactor {
                     break;
                 }
                 Ok(n) => {
-                    if conn.rbuf.len() - conn.rstart + n > cap {
+                    if conn.rbuf.len() - conn.rstart + n > RBUF_CAP {
                         conn.fatal = true;
-                        if conn.text {
-                            conn.wbuf
-                                .extend_from_slice(b"err bad_request request exceeds size limit\n");
-                        } else {
-                            wire::encode_err(
-                                &mut conn.wbuf,
-                                0,
-                                &ServeError::Protocol("receive buffer limit exceeded".into()),
-                            );
-                        }
+                        wire::encode_err(
+                            &mut conn.wbuf,
+                            0,
+                            &ServeError::Protocol("receive buffer limit exceeded".into()),
+                        );
                         break;
                     }
                     conn.rbuf.extend_from_slice(&self.scratch[..n]);
@@ -649,33 +519,13 @@ impl Reactor {
         }
     }
 
+    /// Parses and dispatches complete frames from the receive buffer.
+    /// Torn frames (even one byte at a time) simply wait for more
+    /// bytes; payload-level errors answer the offending request id and
+    /// continue; header-level errors poison the stream and close the
+    /// connection after a best-effort error frame.
     fn process(&mut self, idx: usize) {
-        let is_text = match self.slots[idx].conn.as_ref() {
-            Some(conn) => conn.text,
-            None => return,
-        };
-        if is_text {
-            self.process_text(idx);
-        } else {
-            self.process_binary(idx);
-        }
-        // Compact the consumed prefix so the buffer never grows past
-        // its cap from already-handled bytes.
-        if let Some(conn) = self.slots[idx].conn.as_mut() {
-            if conn.rstart > 0 {
-                conn.rbuf.drain(..conn.rstart);
-                conn.rstart = 0;
-            }
-        }
-    }
-
-    /// Parses and dispatches complete binary frames from the receive
-    /// buffer. Torn frames (even one byte at a time) simply wait for
-    /// more bytes; payload-level errors answer the offending request
-    /// id and continue; header-level errors poison the stream and
-    /// close the connection after a best-effort error frame.
-    fn process_binary(&mut self, idx: usize) {
-        let Reactor { slots, poller, shared, cfg, tenants, by_id, default_idx, .. } = self;
+        let Reactor { slots, poller, shared, cfg, tenants, by_id, .. } = self;
         let gen = slots[idx].gen;
         let Some(conn) = slots[idx].conn.as_mut() else { return };
         loop {
@@ -710,31 +560,6 @@ impl Reactor {
             }
             let payload = &conn.rbuf[conn.rstart + wire::HEADER_LEN..conn.rstart + total];
             match header.opcode {
-                Opcode::Complete => match wire::decode_complete_request(payload) {
-                    Ok(req) => match *default_idx {
-                        Some(ti) => match tenants[ti].tenant.admit() {
-                            Ok(()) => submit_decoded(
-                                &mut tenants[ti],
-                                ti,
-                                &mut conn.in_flight,
-                                &mut conn.wbuf,
-                                shared,
-                                idx,
-                                gen,
-                                header.request_id,
-                                None,
-                                &req,
-                            ),
-                            Err(e) => wire::encode_err(&mut conn.wbuf, header.request_id, &e),
-                        },
-                        None => wire::encode_err(
-                            &mut conn.wbuf,
-                            header.request_id,
-                            &ServeError::UnknownTenant(TenantId::DEFAULT.0),
-                        ),
-                    },
-                    Err(e) => wire::encode_err(&mut conn.wbuf, header.request_id, &e.into()),
-                },
                 Opcode::TComplete => match wire::decode_tcomplete_request(payload) {
                     Ok((tid, req)) => match by_id.get(&tid).copied() {
                         Some(ti) => match tenants[ti].tenant.admit() {
@@ -747,7 +572,6 @@ impl Reactor {
                                 idx,
                                 gen,
                                 header.request_id,
-                                Some(tid),
                                 &req,
                             ),
                             Err(e) => wire::encode_err(&mut conn.wbuf, header.request_id, &e),
@@ -759,20 +583,6 @@ impl Reactor {
                         ),
                     },
                     Err(e) => wire::encode_err(&mut conn.wbuf, header.request_id, &e.into()),
-                },
-                Opcode::Stats => match *default_idx {
-                    // The legacy stats frame: exactly the engine's 20
-                    // counters, byte-identical to pre-tenancy builds.
-                    Some(ti) => wire::encode_stats(
-                        &mut conn.wbuf,
-                        header.request_id,
-                        &tenants[ti].tenant.engine().stats(),
-                    ),
-                    None => wire::encode_err(
-                        &mut conn.wbuf,
-                        header.request_id,
-                        &ServeError::UnknownTenant(TenantId::DEFAULT.0),
-                    ),
                 },
                 Opcode::TStats => match wire::decode_tstats_request(payload) {
                     Ok(tid) => match by_id.get(&tid).copied() {
@@ -809,115 +619,11 @@ impl Reactor {
             }
             conn.rstart += total;
         }
-    }
-
-    /// Parses newline-delimited text requests. `complete` is served
-    /// strictly in order: the connection parses no further lines
-    /// while one is in flight (the text protocol carries no request
-    /// ids, so responses must match request order).
-    fn process_text(&mut self, idx: usize) {
-        let Reactor { slots, shared, tenants, by_id, default_idx, text_buf, .. } = self;
-        let gen = slots[idx].gen;
-        let Some(conn) = slots[idx].conn.as_mut() else { return };
-        loop {
-            if conn.dead || conn.fatal || conn.draining || conn.text_waiting {
-                break;
-            }
-            let avail = &conn.rbuf[conn.rstart..];
-            let Some(nl) = avail.iter().position(|&b| b == b'\n') else {
-                if avail.len() > MAX_LINE_BYTES {
-                    conn.wbuf
-                        .extend_from_slice(b"err bad_request request line exceeds size limit\n");
-                    conn.fatal = true;
-                }
-                break;
-            };
-            let line = &avail[..nl];
-            let consumed = nl + 1;
-            let Ok(line) = std::str::from_utf8(line) else {
-                // Bytes that are not UTF-8 cannot be a protocol line.
-                // Tell the peer why; the malformed bytes are consumed,
-                // so the session continues with the next line.
-                conn.wbuf.extend_from_slice(b"err protocol request is not valid utf-8\n");
-                conn.rstart += consumed;
-                continue;
-            };
-            if line.trim().is_empty() {
-                conn.rstart += consumed;
-                continue;
-            }
-            text_buf.clear();
-            match protocol::parse_request(line) {
-                Ok(Request::Complete { time_of_day, day_of_week, input }) => match *default_idx {
-                    Some(ti) => match tenants[ti].tenant.admit() {
-                        Ok(()) => submit_text(
-                            &mut tenants[ti],
-                            ti,
-                            conn,
-                            shared,
-                            idx,
-                            gen,
-                            None,
-                            time_of_day,
-                            day_of_week,
-                            input,
-                            text_buf,
-                        ),
-                        Err(e) => protocol::write_err(text_buf, &e),
-                    },
-                    None => protocol::write_err(
-                        text_buf,
-                        &ServeError::UnknownTenant(TenantId::DEFAULT.0),
-                    ),
-                },
-                Ok(Request::TComplete { tenant, time_of_day, day_of_week, input }) => {
-                    match by_id.get(&tenant).copied() {
-                        Some(ti) => match tenants[ti].tenant.admit() {
-                            Ok(()) => submit_text(
-                                &mut tenants[ti],
-                                ti,
-                                conn,
-                                shared,
-                                idx,
-                                gen,
-                                Some(tenant),
-                                time_of_day,
-                                day_of_week,
-                                input,
-                                text_buf,
-                            ),
-                            Err(e) => protocol::write_err(text_buf, &e),
-                        },
-                        None => protocol::write_err(text_buf, &ServeError::UnknownTenant(tenant)),
-                    }
-                }
-                Ok(Request::Stats) => match *default_idx {
-                    Some(ti) => {
-                        protocol::write_stats(text_buf, &tenants[ti].tenant.engine().stats())
-                    }
-                    None => protocol::write_err(
-                        text_buf,
-                        &ServeError::UnknownTenant(TenantId::DEFAULT.0),
-                    ),
-                },
-                Ok(Request::TStats { tenant }) => match by_id.get(&tenant).copied() {
-                    Some(ti) => {
-                        protocol::write_tstats(text_buf, tenant, &tenants[ti].tenant.stats())
-                    }
-                    None => protocol::write_err(text_buf, &ServeError::UnknownTenant(tenant)),
-                },
-                Ok(Request::Ping) => text_buf.push_str("pong"),
-                Ok(Request::Quit) => {
-                    text_buf.push_str("bye");
-                    conn.draining = true;
-                }
-                Err(e) => protocol::write_err(text_buf, &e),
-            }
-            if !text_buf.is_empty() {
-                text_buf.push('\n');
-                conn.wbuf.extend_from_slice(text_buf.as_bytes());
-            }
-            conn.rstart += consumed;
+        // Compact the consumed prefix so the buffer never grows past
+        // its cap from already-handled bytes.
+        if conn.rstart > 0 {
+            conn.rbuf.drain(..conn.rstart);
+            conn.rstart = 0;
         }
     }
 
@@ -934,103 +640,45 @@ impl Reactor {
 
     fn finish(&mut self, d: Done) {
         let alive = self.slots.get(d.token).is_some_and(|s| s.gen == d.gen && s.conn.is_some());
+        let state = &mut self.tenants[d.tenant];
         if !alive {
             // The connection closed while the request was in flight:
             // keep the buffers, drop the result.
             if let Ok(c) = d.result {
-                let state = &mut self.tenants[d.tenant];
                 recycle(&mut state.spare_inputs, c.input, state.in_shape);
                 recycle(&mut state.spare_outputs, c.output, state.out_shape);
             }
             return;
         }
         let idx = d.token;
-        {
-            let state = &mut self.tenants[d.tenant];
-            // Tenant-form replies carry the tenant's graph generation,
-            // observed at encode time (a delta applied while the
-            // request was in flight is visible on its response).
-            let graph_gen = d.treply.map(|_| state.tenant.graph_generation());
-            let conn = self.slots[idx].conn.as_mut().expect("checked alive");
-            conn.in_flight -= 1;
-            if conn.text {
-                conn.text_waiting = false;
-                self.text_buf.clear();
-                match d.result {
-                    Ok(c) => {
-                        match d.treply {
-                            Some(tid) => protocol::write_tok(
-                                &mut self.text_buf,
-                                tid,
-                                graph_gen.unwrap_or(0),
-                                &c.output,
-                                c.cache_hit,
-                                c.generation,
-                                c.shards,
-                                c.degraded,
-                            ),
-                            None => protocol::write_ok(
-                                &mut self.text_buf,
-                                &c.output,
-                                c.cache_hit,
-                                c.generation,
-                                c.shards,
-                                c.degraded,
-                            ),
-                        }
-                        recycle(&mut state.spare_inputs, c.input, state.in_shape);
-                        recycle(&mut state.spare_outputs, c.output, state.out_shape);
-                    }
-                    Err(e) => protocol::write_err(&mut self.text_buf, &e),
-                }
-                self.text_buf.push('\n');
-                conn.wbuf.extend_from_slice(self.text_buf.as_bytes());
-            } else {
-                match d.result {
-                    Ok(c) => {
-                        match d.treply {
-                            Some(tid) => wire::encode_tcomplete_ok(
-                                &mut conn.wbuf,
-                                d.request_id,
-                                tid,
-                                graph_gen.unwrap_or(0),
-                                &c.output,
-                                c.cache_hit,
-                                c.degraded,
-                                c.generation,
-                                c.shards,
-                            ),
-                            None => wire::encode_complete_ok(
-                                &mut conn.wbuf,
-                                d.request_id,
-                                &c.output,
-                                c.cache_hit,
-                                c.degraded,
-                                c.generation,
-                                c.shards,
-                            ),
-                        }
-                        recycle(&mut state.spare_inputs, c.input, state.in_shape);
-                        recycle(&mut state.spare_outputs, c.output, state.out_shape);
-                    }
-                    Err(e) => wire::encode_err(&mut conn.wbuf, d.request_id, &e),
-                }
+        let conn = self.slots[idx].conn.as_mut().expect("checked alive");
+        conn.in_flight -= 1;
+        match d.result {
+            Ok(c) => {
+                // The graph generation is observed at encode time: a
+                // delta applied while the request was in flight is
+                // visible on its response.
+                wire::encode_tcomplete_ok(
+                    &mut conn.wbuf,
+                    d.request_id,
+                    state.tenant.id().0,
+                    state.tenant.graph_generation(),
+                    &c.output,
+                    c.cache_hit,
+                    c.degraded,
+                    c.generation,
+                    c.shards,
+                );
+                recycle(&mut state.spare_inputs, c.input, state.in_shape);
+                recycle(&mut state.spare_outputs, c.output, state.out_shape);
             }
+            Err(e) => wire::encode_err(&mut conn.wbuf, d.request_id, &e),
         }
         // A response freed pipeline room: resume reading if gated,
         // and parse any requests already buffered while waiting.
-        let ungated = {
-            let conn = self.slots[idx].conn.as_mut().expect("checked alive");
-            if conn.gated && conn.in_flight < self.cfg.max_inflight_per_conn {
-                conn.gated = false;
-                let _ =
-                    self.poller.modify(conn.stream.as_raw_fd(), idx as u64, true, conn.want_write);
-                true
-            } else {
-                conn.text
-            }
-        };
-        if ungated {
+        if conn.gated && conn.in_flight < self.cfg.max_inflight_per_conn {
+            conn.gated = false;
+            let _ = self.poller.modify(conn.stream.as_raw_fd(), idx as u64, true, conn.want_write);
             self.process(idx);
         }
         self.flush(idx);
@@ -1121,108 +769,10 @@ fn recycle(pool: &mut Vec<Matrix>, m: Matrix, shape: (usize, usize)) {
     }
 }
 
-/// Blocking TCP client speaking the newline-delimited text protocol
-/// (the debug port; see [`ServerConfig::text_port`]).
-pub struct TcpClient {
-    reader: std::io::BufReader<TcpStream>,
-    writer: TcpStream,
-    line: String,
-}
-
-impl TcpClient {
-    /// Connects to a running [`Server`]'s text port.
-    pub fn connect<A: ToSocketAddrs>(addr: A) -> std::io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        let writer = stream.try_clone()?;
-        Ok(Self { reader: std::io::BufReader::new(stream), writer, line: String::new() })
-    }
-
-    fn roundtrip(&mut self, request: &str) -> Result<&str, ServeError> {
-        use std::io::BufRead as _;
-        self.writer.write_all(request.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
-        self.line.clear();
-        let n = self.reader.read_line(&mut self.line)?;
-        if n == 0 {
-            return Err(ServeError::Io(std::io::Error::new(
-                ErrorKind::UnexpectedEof,
-                "server closed connection",
-            )));
-        }
-        Ok(self.line.trim_end())
-    }
-
-    /// Sends a completion request and parses the bit-exact response.
-    pub fn complete(
-        &mut self,
-        input: &Matrix,
-        time_of_day: usize,
-        day_of_week: usize,
-    ) -> Result<protocol::OkResponse, ServeError> {
-        let mut request =
-            format!("complete {} {} {} {}", time_of_day, day_of_week, input.rows(), input.cols());
-        protocol::write_matrix_hex(&mut request, input);
-        let line = self.roundtrip(&request)?;
-        protocol::parse_complete_response(line)
-    }
-
-    /// Sends a tenant-scoped completion request and parses the
-    /// response (including the tenant's graph generation).
-    pub fn tcomplete(
-        &mut self,
-        tenant: u64,
-        input: &Matrix,
-        time_of_day: usize,
-        day_of_week: usize,
-    ) -> Result<protocol::TokResponse, ServeError> {
-        let mut request = format!(
-            "tcomplete {} {} {} {} {}",
-            tenant,
-            time_of_day,
-            day_of_week,
-            input.rows(),
-            input.cols()
-        );
-        protocol::write_matrix_hex(&mut request, input);
-        let line = self.roundtrip(&request)?;
-        protocol::parse_tcomplete_response(line)
-    }
-
-    /// Fetches the raw `stats` response line.
-    pub fn stats(&mut self) -> Result<String, ServeError> {
-        Ok(self.roundtrip("stats")?.to_owned())
-    }
-
-    /// Fetches one tenant's full counters (all snapshot fields).
-    pub fn tstats(&mut self, tenant: u64) -> Result<crate::StatsSnapshot, ServeError> {
-        let line = self.roundtrip(&format!("tstats {tenant}"))?;
-        let (tid, snap) = protocol::parse_tstats_response(line)?;
-        if tid != tenant {
-            return Err(ServeError::Protocol(format!(
-                "tstats answered tenant {tid}, asked {tenant}"
-            )));
-        }
-        Ok(snap)
-    }
-
-    /// Liveness probe.
-    pub fn ping(&mut self) -> Result<bool, ServeError> {
-        Ok(self.roundtrip("ping")? == "pong")
-    }
-
-    /// Asks the server to close this connection.
-    pub fn quit(&mut self) -> Result<(), ServeError> {
-        let _ = self.roundtrip("quit")?;
-        Ok(())
-    }
-}
-
-/// Blocking TCP client speaking the length-prefixed binary protocol,
-/// with optional pipelining: [`BinClient::send_complete`] queues many
-/// requests on one connection, [`BinClient::recv_response`] returns
-/// responses as the server finishes them (any order, matched by id).
+/// Blocking TCP client of the wire protocol, with optional
+/// pipelining: [`BinClient::send_tcomplete`] queues many requests on
+/// one connection, [`BinClient::recv_response`] returns responses as
+/// the server finishes them (any order, matched by id).
 pub struct BinClient {
     stream: TcpStream,
     sbuf: Vec<u8>,
@@ -1231,25 +781,20 @@ pub struct BinClient {
 }
 
 impl BinClient {
-    /// Connects to a running [`Server`]'s binary port.
+    /// Connects to a running [`Server`].
     pub fn connect<A: ToSocketAddrs>(addr: A) -> std::io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         Ok(Self { stream, sbuf: Vec::new(), payload: Vec::new(), next_id: 1 })
     }
 
-    /// Sends a completion request without waiting; returns the frame's
-    /// request id for matching the pipelined response.
-    pub fn send_complete(
-        &mut self,
-        input: &Matrix,
-        time_of_day: usize,
-        day_of_week: usize,
-    ) -> Result<u64, ServeError> {
+    /// Encodes one request frame with the next request id, sends it,
+    /// and returns the id.
+    fn send(&mut self, encode: impl FnOnce(&mut Vec<u8>, u64)) -> Result<u64, ServeError> {
         let id = self.next_id;
         self.next_id += 1;
         self.sbuf.clear();
-        wire::encode_complete_request(&mut self.sbuf, id, time_of_day, day_of_week, input);
+        encode(&mut self.sbuf, id);
         self.stream.write_all(&self.sbuf)?;
         Ok(id)
     }
@@ -1263,70 +808,9 @@ impl BinClient {
         Ok(header)
     }
 
-    /// Receives the next response frame: `(request id, result)`.
-    /// Responses to pipelined requests may arrive in any order.
-    pub fn recv_response(
-        &mut self,
-    ) -> Result<(u64, Result<protocol::OkResponse, ServeError>), ServeError> {
-        let header = self.read_frame()?;
-        match header.opcode {
-            Opcode::RespComplete => {
-                Ok((header.request_id, Ok(wire::decode_complete_ok(&self.payload)?)))
-            }
-            Opcode::RespErr => Ok((header.request_id, Err(wire::decode_err(&self.payload)?))),
-            other => Err(ServeError::Protocol(format!(
-                "unexpected response opcode {:#04x}",
-                other as u8
-            ))),
-        }
-    }
-
-    /// Sends a completion request and waits for its response.
-    pub fn complete(
-        &mut self,
-        input: &Matrix,
-        time_of_day: usize,
-        day_of_week: usize,
-    ) -> Result<protocol::OkResponse, ServeError> {
-        let id = self.send_complete(input, time_of_day, day_of_week)?;
-        let (rid, result) = self.recv_response()?;
-        if rid != id {
-            return Err(ServeError::Protocol(format!(
-                "response id {rid} does not match request id {id} (pipelined sends must use \
-                 recv_response)"
-            )));
-        }
-        result
-    }
-
-    /// Sends a tenant-scoped completion request without waiting;
-    /// returns the frame's request id for matching the pipelined
-    /// response.
-    pub fn send_tcomplete(
-        &mut self,
-        tenant: u64,
-        input: &Matrix,
-        time_of_day: usize,
-        day_of_week: usize,
-    ) -> Result<u64, ServeError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.sbuf.clear();
-        wire::encode_tcomplete_request(&mut self.sbuf, id, tenant, time_of_day, day_of_week, input);
-        self.stream.write_all(&self.sbuf)?;
-        Ok(id)
-    }
-
-    /// Sends a tenant-scoped completion request and waits for its
-    /// response (including the tenant's graph generation).
-    pub fn tcomplete(
-        &mut self,
-        tenant: u64,
-        input: &Matrix,
-        time_of_day: usize,
-        day_of_week: usize,
-    ) -> Result<protocol::TokResponse, ServeError> {
-        let id = self.send_tcomplete(tenant, input, time_of_day, day_of_week)?;
+    /// Reads the answer to request `id`: `Ok` on `want`, the server's
+    /// typed error on an error frame.
+    fn answer(&mut self, id: u64, want: Opcode) -> Result<(), ServeError> {
         let header = self.read_frame()?;
         if header.request_id != id {
             return Err(ServeError::Protocol(format!(
@@ -1336,7 +820,7 @@ impl BinClient {
             )));
         }
         match header.opcode {
-            Opcode::RespTComplete => Ok(wire::decode_tcomplete_ok(&self.payload)?),
+            op if op == want => Ok(()),
             Opcode::RespErr => Err(wire::decode_err(&self.payload)?),
             other => Err(ServeError::Protocol(format!(
                 "unexpected response opcode {:#04x}",
@@ -1345,69 +829,75 @@ impl BinClient {
         }
     }
 
-    /// Fetches one tenant's full counters (all snapshot fields).
-    pub fn tstats_for(&mut self, tenant: u64) -> Result<crate::StatsSnapshot, ServeError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.sbuf.clear();
-        wire::encode_tstats_request(&mut self.sbuf, id, tenant);
-        self.stream.write_all(&self.sbuf)?;
+    /// Sends a completion request for `tenant` without waiting;
+    /// returns the frame's request id for matching the pipelined
+    /// response.
+    pub fn send_tcomplete(
+        &mut self,
+        tenant: u64,
+        input: &Matrix,
+        time_of_day: usize,
+        day_of_week: usize,
+    ) -> Result<u64, ServeError> {
+        self.send(|buf, id| {
+            wire::encode_tcomplete_request(buf, id, tenant, time_of_day, day_of_week, input)
+        })
+    }
+
+    /// Receives the next completion answer: `(request id, result)`.
+    /// Responses to pipelined requests may arrive in any order.
+    pub fn recv_response(&mut self) -> Result<(u64, Result<TokResponse, ServeError>), ServeError> {
         let header = self.read_frame()?;
         match header.opcode {
-            Opcode::RespTStats => {
-                let (tid, snap) = wire::decode_tstats(&self.payload)?;
-                if tid != tenant {
-                    return Err(ServeError::Protocol(format!(
-                        "tstats answered tenant {tid}, asked {tenant}"
-                    )));
-                }
-                Ok(snap)
+            Opcode::RespTComplete => {
+                Ok((header.request_id, Ok(wire::decode_tcomplete_ok(&self.payload)?)))
             }
-            Opcode::RespErr => Err(wire::decode_err(&self.payload)?),
+            Opcode::RespErr => Ok((header.request_id, Err(wire::decode_err(&self.payload)?))),
             other => Err(ServeError::Protocol(format!(
                 "unexpected response opcode {:#04x}",
                 other as u8
             ))),
         }
+    }
+
+    /// Sends a completion request for `tenant` and waits for its
+    /// answer (including the tenant's graph generation).
+    pub fn tcomplete(
+        &mut self,
+        tenant: u64,
+        input: &Matrix,
+        time_of_day: usize,
+        day_of_week: usize,
+    ) -> Result<TokResponse, ServeError> {
+        let id = self.send_tcomplete(tenant, input, time_of_day, day_of_week)?;
+        self.answer(id, Opcode::RespTComplete)?;
+        Ok(wire::decode_tcomplete_ok(&self.payload)?)
+    }
+
+    /// Fetches one tenant's counters, matched by name.
+    pub fn tstats(&mut self, tenant: u64) -> Result<StatsSnapshot, ServeError> {
+        let id = self.send(|buf, id| wire::encode_tstats_request(buf, id, tenant))?;
+        self.answer(id, Opcode::RespTStats)?;
+        let (tid, snap) = wire::decode_tstats(&self.payload)?;
+        if tid != tenant {
+            return Err(ServeError::Protocol(format!(
+                "tstats answered tenant {tid}, asked {tenant}"
+            )));
+        }
+        Ok(snap)
     }
 
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<bool, ServeError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.sbuf.clear();
-        wire::encode_empty(&mut self.sbuf, Opcode::Ping, id);
-        self.stream.write_all(&self.sbuf)?;
+        let id = self.send(|buf, id| wire::encode_empty(buf, Opcode::Ping, id))?;
         let header = self.read_frame()?;
         Ok(header.opcode == Opcode::Pong && header.request_id == id)
-    }
-
-    /// Fetches the engine counters.
-    pub fn stats(&mut self) -> Result<crate::StatsSnapshot, ServeError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.sbuf.clear();
-        wire::encode_empty(&mut self.sbuf, Opcode::Stats, id);
-        self.stream.write_all(&self.sbuf)?;
-        let header = self.read_frame()?;
-        match header.opcode {
-            Opcode::RespStats => Ok(wire::decode_stats(&self.payload)?),
-            Opcode::RespErr => Err(wire::decode_err(&self.payload)?),
-            other => Err(ServeError::Protocol(format!(
-                "unexpected response opcode {:#04x}",
-                other as u8
-            ))),
-        }
     }
 
     /// Asks the server to close this connection (after pipelined
     /// responses drain).
     pub fn quit(&mut self) -> Result<(), ServeError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.sbuf.clear();
-        wire::encode_empty(&mut self.sbuf, Opcode::Quit, id);
-        self.stream.write_all(&self.sbuf)?;
+        self.send(|buf, id| wire::encode_empty(buf, Opcode::Quit, id))?;
         loop {
             // Pipelined responses may still be queued ahead of bye.
             let header = self.read_frame()?;

@@ -23,9 +23,8 @@
 //!   response so clients detect topology swaps and re-derive any
 //!   row-index-dependent state.
 //!
-//! The tenant with [`TenantId::DEFAULT`] (id 0) serves the legacy
-//! tenant-less protocol forms, so a single-tenant deployment is wire-
-//! compatible with pre-tenancy builds byte for byte.
+//! A single-tenant deployment ([`crate::Server::start`]) serves its
+//! engine as [`TenantId::DEFAULT`] (id 0).
 
 use crate::engine::{Engine, EngineConfig, StatsSnapshot};
 use crate::registry::{ModelRegistry, TopologyUpdate};
@@ -41,7 +40,7 @@ use std::time::Instant;
 pub struct TenantId(pub u64);
 
 impl TenantId {
-    /// The tenant serving legacy (tenant-less) wire requests.
+    /// The tenant id [`crate::Server::start`] serves its one engine as.
     pub const DEFAULT: TenantId = TenantId(0);
 }
 
@@ -217,9 +216,9 @@ impl TenantRegistry {
     }
 
     /// Registers an already-running engine as tenant `id` (the
-    /// single-tenant compatibility path: [`crate::Server::start`]
-    /// adopts its engine as [`TenantId::DEFAULT`], keeping the legacy
-    /// untagged failpoint site names).
+    /// single-tenant path: [`crate::Server::start`] adopts its engine
+    /// as [`TenantId::DEFAULT`], keeping the untagged failpoint site
+    /// names).
     ///
     /// # Panics
     /// Panics if `id` is already registered.
@@ -239,11 +238,6 @@ impl TenantRegistry {
     /// Looks a tenant up by id.
     pub fn get(&self, id: TenantId) -> Option<Arc<Tenant>> {
         self.tenants.read().unwrap().get(&id.0).cloned()
-    }
-
-    /// The tenant serving legacy (tenant-less) requests, if any.
-    pub fn default_tenant(&self) -> Option<Arc<Tenant>> {
-        self.get(TenantId::DEFAULT)
     }
 
     /// Registered tenant ids, ascending.

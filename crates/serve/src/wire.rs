@@ -1,69 +1,78 @@
-//! Length-prefixed binary wire protocol.
+//! Length-prefixed binary wire protocol: the one wire surface of the
+//! server.
 //!
 //! Every frame starts with a fixed 20-byte header followed by an
 //! opcode-specific payload. All integers are little-endian; matrix
-//! entries travel as raw little-endian `f64` bit patterns, so — like
-//! the text protocol's `{:016x}` encoding — a served completion is
-//! **bit-exact** across the wire, but encode/decode is a memcpy
-//! instead of a format/parse (16 bytes + a hex parse per entry become
-//! 8 bytes flat).
+//! entries travel as raw little-endian `f64` bit patterns, so a served
+//! completion is **bit-exact** across the wire and encode/decode is a
+//! memcpy.
 //!
 //! ```text
 //! frame header (20 bytes)
 //! ┌─────────┬─────────┬─────────┬──────────┬──────────────┬──────────────┐
 //! │ 0..4    │ 4       │ 5       │ 6..8     │ 8..16        │ 16..20       │
 //! │ magic   │ version │ opcode  │ reserved │ request id   │ payload len  │
-//! │ "GCWB"  │ 0x01    │ u8      │ 0x0000   │ u64 LE       │ u32 LE       │
+//! │ "GCWB"  │ 0x02    │ u8      │ 0x0000   │ u64 LE       │ u32 LE       │
 //! └─────────┴─────────┴─────────┴──────────┴──────────────┴──────────────┘
 //!
-//! complete request payload          complete response payload
-//! ┌───────────────┬─────────┐       ┌──────────┬──────────┬──────────┐
-//! │ 0..4  time    │ u32 LE  │       │ 0        │ hit      │ u8 0|1   │
-//! │ 4..8  day     │ u32 LE  │       │ 1        │ degraded │ u8 0|1   │
-//! │ 8..12 rows    │ u32 LE  │       │ 2..4     │ reserved │ 0x0000   │
-//! │ 12..16 cols   │ u32 LE  │       │ 4..8     │ shards   │ u32 LE   │
-//! │ 16..  entries │ f64 LE… │       │ 8..16    │ gen      │ u64 LE   │
-//! └───────────────┴─────────┘       │ 16..20   │ rows     │ u32 LE   │
-//!                                   │ 20..24   │ cols     │ u32 LE   │
-//!                                   │ 24..     │ entries  │ f64 LE…  │
-//!                                   └──────────┴──────────┴──────────┘
+//! request                          response
+//! 0x03 ping       empty            0x83 pong       empty
+//! 0x04 quit       empty            0x84 bye        empty
+//! 0x05 tcomplete  see below        0x85 tcomplete  see below
+//! 0x06 tstats     tenant u64 LE    0x86 tstats     see below
+//!                                  0xEE error      code len u8, code, message
+//!
+//! tcomplete request payload         tcomplete response payload
+//! ┌───────────────┬─────────┐       ┌──────────┬───────────┬──────────┐
+//! │ 0..8   tenant │ u64 LE  │       │ 0..8     │ tenant    │ u64 LE   │
+//! │ 8..12  time   │ u32 LE  │       │ 8..16    │ graph gen │ u64 LE   │
+//! │ 12..16 day    │ u32 LE  │       │ 16       │ hit       │ u8 0|1   │
+//! │ 16..20 rows   │ u32 LE  │       │ 17       │ degraded  │ u8 0|1   │
+//! │ 20..24 cols   │ u32 LE  │       │ 18..20   │ reserved  │ 0x0000   │
+//! │ 24..  entries │ f64 LE… │       │ 20..24   │ shards    │ u32 LE   │
+//! └───────────────┴─────────┘       │ 24..32   │ gen       │ u64 LE   │
+//!                                   │ 32..36   │ rows      │ u32 LE   │
+//!                                   │ 36..40   │ cols      │ u32 LE   │
+//!                                   │ 40..     │ entries   │ f64 LE…  │
+//!                                   └──────────┴───────────┴──────────┘
+//!
+//! tstats response payload
+//! ┌──────────┬────────────┬─────────────────────────────────────────────┐
+//! │ 0..8     │ 8..10      │ 10..                                        │
+//! │ tenant   │ count u16  │ count × (name len u8, UTF-8 name, u64 LE)   │
+//! └──────────┴────────────┴─────────────────────────────────────────────┘
 //! ```
 //!
-//! `stats`/`ping`/`quit` requests and `pong`/`bye` responses carry an
-//! empty payload; the `stats` response is 20 `u64`s in
-//! [`StatsSnapshot`] field order; the `err` response is a 1-byte code
-//! length, the ASCII error code, then a UTF-8 message.
-//!
-//! **Tenant forms.** The `tcomplete` request (0x05) is a `u64 LE`
-//! tenant id followed by the exact legacy `complete` payload; its
-//! response (0x85) is a `u64 LE` tenant id and the tenant's `u64 LE`
-//! **graph generation** (bumped on every applied topology delta, so
-//! clients detect swaps) followed by the exact legacy response
-//! payload. `tstats` (0x06) carries the `u64 LE` tenant id; its
-//! response (0x86) is the tenant id plus all
-//! [`StatsSnapshot::TENANT_FIELDS`] `u64`s in declaration order
-//! (unlike the legacy 20-field form, this includes the two
-//! tenant-layer counters). Legacy tenant-less frames address the
-//! default tenant and stay byte-identical to pre-tenancy builds.
+//! Every request names a tenant, and every answer carries it back. The
+//! graph generation of a completion answer is bumped on every applied
+//! topology delta, so clients detect swaps. The stats answer lists
+//! every counter of [`StatsSnapshot::FIELDS`] by name; a decoder
+//! matches counters by name, skipping names it does not know and
+//! reading a counter the answer lacks as 0. A frame of another version
+//! is refused with [`WireError::BadVersion`], so a peer speaking an
+//! older layout gets a typed error instead of misread bytes.
 //!
 //! Request ids are chosen by the client and echoed verbatim, which is
 //! what makes **pipelining** work: many requests may be in flight on
 //! one connection and responses may arrive in any order.
 
 use crate::engine::StatsSnapshot;
-use crate::protocol::{self, MAX_WIRE_ELEMS};
+use crate::protocol::{OkResponse, TokResponse};
 use crate::ServeError;
 use gcwc_linalg::Matrix;
 
 /// Frame magic: `GCWB` (GCW binary).
 pub const MAGIC: [u8; 4] = *b"GCWB";
 /// Protocol version this build speaks.
-pub const VERSION: u8 = 1;
+pub const VERSION: u8 = 2;
 /// Fixed frame-header size in bytes.
 pub const HEADER_LEN: usize = 20;
+/// Upper bound on matrix entries accepted from the wire. Shapes are
+/// validated (overflow-checked) against this *before* any allocation,
+/// so a malicious `rows`/`cols` pair cannot force a huge reservation.
+pub const MAX_WIRE_ELEMS: usize = 1 << 22;
 /// Largest admissible payload: the biggest wire matrix plus the
-/// tenant-complete-response head (the largest fixed head: tenant id,
-/// graph generation, then the legacy 24-byte head). Frames declaring
+/// completion response head (the largest fixed head). Frames declaring
 /// more are refused before any buffering, which bounds per-connection
 /// memory (slowloris cap).
 pub const MAX_FRAME_PAYLOAD: usize = 40 + MAX_WIRE_ELEMS * 8;
@@ -72,31 +81,21 @@ pub const MAX_FRAME_PAYLOAD: usize = 40 + MAX_WIRE_ELEMS * 8;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Opcode {
-    /// Completion request.
-    Complete = 0x01,
-    /// Engine-counter request.
-    Stats = 0x02,
     /// Liveness probe.
     Ping = 0x03,
     /// Close the connection (after in-flight responses drain).
     Quit = 0x04,
-    /// Tenant-scoped completion request (tenant id + legacy payload).
+    /// Completion request for one tenant.
     TComplete = 0x05,
-    /// Tenant-scoped counter request (tenant id payload).
+    /// Counter request for one tenant.
     TStats = 0x06,
-    /// Completion response (exact or degraded; see payload flags).
-    RespComplete = 0x81,
-    /// Engine-counter response.
-    RespStats = 0x82,
     /// Probe response.
     Pong = 0x83,
     /// Connection-close acknowledgement.
     Bye = 0x84,
-    /// Tenant-scoped completion response (tenant id + graph
-    /// generation + legacy payload).
+    /// Completion response (exact or degraded; see payload flags).
     RespTComplete = 0x85,
-    /// Tenant-scoped counter response (tenant id + all snapshot
-    /// fields).
+    /// Named-counter response.
     RespTStats = 0x86,
     /// Typed error response.
     RespErr = 0xEE,
@@ -105,14 +104,10 @@ pub enum Opcode {
 impl Opcode {
     fn from_u8(v: u8) -> Option<Self> {
         Some(match v {
-            0x01 => Opcode::Complete,
-            0x02 => Opcode::Stats,
             0x03 => Opcode::Ping,
             0x04 => Opcode::Quit,
             0x05 => Opcode::TComplete,
             0x06 => Opcode::TStats,
-            0x81 => Opcode::RespComplete,
-            0x82 => Opcode::RespStats,
             0x83 => Opcode::Pong,
             0x84 => Opcode::Bye,
             0x85 => Opcode::RespTComplete,
@@ -177,6 +172,12 @@ pub enum WireError {
         /// The offending row.
         row: usize,
     },
+    /// Payload bytes that are not what their place claims: an empty or
+    /// non-UTF-8 counter name, or bytes after the last counter.
+    Malformed {
+        /// Which structure is malformed.
+        what: &'static str,
+    },
 }
 
 impl WireError {
@@ -210,6 +211,7 @@ impl std::fmt::Display for WireError {
             WireError::ZeroMassNegativeRow { row } => {
                 write!(f, "row {row} has zero total mass but negative entries")
             }
+            WireError::Malformed { what } => write!(f, "malformed {what}"),
         }
     }
 }
@@ -228,6 +230,14 @@ fn u32_at(buf: &[u8], off: usize) -> u32 {
 
 fn u64_at(buf: &[u8], off: usize) -> u64 {
     u64::from_le_bytes(buf[off..off + 8].try_into().expect("8 bytes"))
+}
+
+/// The element count of a declared matrix shape, overflow-checked
+/// against [`MAX_WIRE_ELEMS`].
+fn checked_elems(rows: usize, cols: usize) -> Result<usize, WireError> {
+    rows.checked_mul(cols)
+        .filter(|&t| t <= MAX_WIRE_ELEMS)
+        .ok_or(WireError::BadShape { rows, cols })
 }
 
 /// Decodes a frame header from the front of `buf`. `Ok(None)` means
@@ -262,7 +272,7 @@ pub fn encode_header(buf: &mut Vec<u8>, opcode: Opcode, request_id: u64, payload
     buf.extend_from_slice(&(payload_len as u32).to_le_bytes());
 }
 
-/// Appends an empty-payload frame (ping/pong/quit/bye/stats request).
+/// Appends an empty-payload frame (ping/pong/quit/bye).
 pub fn encode_empty(buf: &mut Vec<u8>, opcode: Opcode, request_id: u64) {
     encode_header(buf, opcode, request_id, 0);
 }
@@ -273,25 +283,8 @@ fn extend_matrix_le(buf: &mut Vec<u8>, m: &Matrix) {
     }
 }
 
-/// Appends a `complete` request frame.
-pub fn encode_complete_request(
-    buf: &mut Vec<u8>,
-    request_id: u64,
-    time_of_day: usize,
-    day_of_week: usize,
-    input: &Matrix,
-) {
-    let payload = 16 + input.as_slice().len() * 8;
-    encode_header(buf, Opcode::Complete, request_id, payload);
-    buf.extend_from_slice(&(time_of_day as u32).to_le_bytes());
-    buf.extend_from_slice(&(day_of_week as u32).to_le_bytes());
-    buf.extend_from_slice(&(input.rows() as u32).to_le_bytes());
-    buf.extend_from_slice(&(input.cols() as u32).to_le_bytes());
-    extend_matrix_le(buf, input);
-}
-
-/// A `complete` request payload, borrowed from the receive buffer:
-/// shape-validated, entries still raw bytes (see
+/// A `tcomplete` request's completion part, borrowed from the receive
+/// buffer: shape-validated, entries still raw bytes (see
 /// [`fill_matrix`]).
 #[derive(Debug)]
 pub struct CompleteRequest<'a> {
@@ -307,35 +300,7 @@ pub struct CompleteRequest<'a> {
     pub data: &'a [u8],
 }
 
-/// Decodes and shape-validates a `complete` request payload. The
-/// element count is overflow-checked against `MAX_WIRE_ELEMS` and the
-/// payload length must match the declared shape exactly, so a short
-/// frame can never claim a large matrix.
-pub fn decode_complete_request(payload: &[u8]) -> Result<CompleteRequest<'_>, WireError> {
-    if payload.len() < 16 {
-        return Err(WireError::Truncated { what: "complete request head" });
-    }
-    let rows = u32_at(payload, 8) as usize;
-    let cols = u32_at(payload, 12) as usize;
-    let total = rows
-        .checked_mul(cols)
-        .filter(|&t| t <= MAX_WIRE_ELEMS)
-        .ok_or(WireError::BadShape { rows, cols })?;
-    let data = &payload[16..];
-    if data.len() != total * 8 {
-        return Err(WireError::Truncated { what: "complete request matrix" });
-    }
-    Ok(CompleteRequest {
-        time_of_day: u32_at(payload, 0) as usize,
-        day_of_week: u32_at(payload, 4) as usize,
-        rows,
-        cols,
-        data,
-    })
-}
-
-/// Appends a `tcomplete` request frame: the tenant id, then the exact
-/// legacy payload.
+/// Appends a `tcomplete` request frame.
 pub fn encode_tcomplete_request(
     buf: &mut Vec<u8>,
     request_id: u64,
@@ -354,13 +319,30 @@ pub fn encode_tcomplete_request(
     extend_matrix_le(buf, input);
 }
 
-/// Decodes a `tcomplete` request payload: the tenant id, then the
-/// legacy payload validated by [`decode_complete_request`].
+/// Decodes and shape-validates a `tcomplete` request payload into the
+/// tenant id and the completion part. The element count is
+/// overflow-checked against [`MAX_WIRE_ELEMS`] and the payload length
+/// must match the declared shape exactly, so a short frame can never
+/// claim a large matrix.
 pub fn decode_tcomplete_request(payload: &[u8]) -> Result<(u64, CompleteRequest<'_>), WireError> {
-    if payload.len() < 8 {
+    if payload.len() < 24 {
         return Err(WireError::Truncated { what: "tcomplete request head" });
     }
-    Ok((u64_at(payload, 0), decode_complete_request(&payload[8..])?))
+    let rows = u32_at(payload, 16) as usize;
+    let cols = u32_at(payload, 20) as usize;
+    let total = checked_elems(rows, cols)?;
+    let data = &payload[24..];
+    if data.len() != total * 8 {
+        return Err(WireError::Truncated { what: "tcomplete request matrix" });
+    }
+    let req = CompleteRequest {
+        time_of_day: u32_at(payload, 8) as usize,
+        day_of_week: u32_at(payload, 12) as usize,
+        rows,
+        cols,
+        data,
+    };
+    Ok((u64_at(payload, 0), req))
 }
 
 /// Appends a `tstats` request frame (payload: the tenant id).
@@ -378,9 +360,8 @@ pub fn decode_tstats_request(payload: &[u8]) -> Result<u64, WireError> {
 }
 
 /// Copies a validated request's entries into `out` (which must already
-/// have the declared shape), enforcing the same input hardening as the
-/// text protocol: non-finite entries and zero-mass-with-negative rows
-/// are rejected with typed errors.
+/// have the declared shape), rejecting non-finite entries and
+/// zero-mass rows with negative entries with typed errors.
 pub fn fill_matrix(req: &CompleteRequest<'_>, out: &mut Matrix) -> Result<(), WireError> {
     debug_assert_eq!(out.shape(), (req.rows, req.cols));
     let dst = out.as_mut_slice();
@@ -391,66 +372,26 @@ pub fn fill_matrix(req: &CompleteRequest<'_>, out: &mut Matrix) -> Result<(), Wi
         }
         dst[i] = v;
     }
-    match protocol::zero_mass_negative_row(dst, req.cols) {
+    match zero_mass_negative_row(dst, req.cols) {
         Some(row) => Err(WireError::ZeroMassNegativeRow { row }),
         None => Ok(()),
     }
 }
 
-/// Appends a `complete` response frame.
-#[allow(clippy::too_many_arguments)]
-pub fn encode_complete_ok(
-    buf: &mut Vec<u8>,
-    request_id: u64,
-    output: &Matrix,
-    cache_hit: bool,
-    degraded: bool,
-    generation: u64,
-    shards: usize,
-) {
-    let payload = 24 + output.as_slice().len() * 8;
-    encode_header(buf, Opcode::RespComplete, request_id, payload);
-    buf.push(u8::from(cache_hit));
-    buf.push(u8::from(degraded));
-    buf.extend_from_slice(&[0, 0]);
-    buf.extend_from_slice(&(shards as u32).to_le_bytes());
-    buf.extend_from_slice(&generation.to_le_bytes());
-    buf.extend_from_slice(&(output.rows() as u32).to_le_bytes());
-    buf.extend_from_slice(&(output.cols() as u32).to_le_bytes());
-    extend_matrix_le(buf, output);
+/// The first `cols`-wide row of `data` whose entries cancel to exactly
+/// zero mass while carrying negative entries. Observed rows are
+/// (unnormalised) histogram mass, so such a row is indistinguishable
+/// from a missing row by total mass but not all-missing —
+/// normalisation would divide by zero downstream.
+fn zero_mass_negative_row(data: &[f64], cols: usize) -> Option<usize> {
+    if cols == 0 {
+        return None;
+    }
+    data.chunks_exact(cols)
+        .position(|row| row.iter().sum::<f64>() == 0.0 && row.iter().any(|&v| v < 0.0))
 }
 
-/// Decodes a `complete` response payload. Unlike request decoding
-/// this materialises the matrix (the client owns the result).
-pub fn decode_complete_ok(payload: &[u8]) -> Result<protocol::OkResponse, WireError> {
-    if payload.len() < 24 {
-        return Err(WireError::Truncated { what: "complete response head" });
-    }
-    let rows = u32_at(payload, 16) as usize;
-    let cols = u32_at(payload, 20) as usize;
-    let total = rows
-        .checked_mul(cols)
-        .filter(|&t| t <= MAX_WIRE_ELEMS)
-        .ok_or(WireError::BadShape { rows, cols })?;
-    let data = &payload[24..];
-    if data.len() != total * 8 {
-        return Err(WireError::Truncated { what: "complete response matrix" });
-    }
-    let mut entries = Vec::with_capacity(total);
-    for chunk in data.chunks_exact(8) {
-        entries.push(f64::from_bits(u64::from_le_bytes(chunk.try_into().expect("8 bytes"))));
-    }
-    Ok(protocol::OkResponse {
-        output: Matrix::from_vec(rows, cols, entries),
-        cache_hit: payload[0] != 0,
-        degraded: payload[1] != 0,
-        generation: u64_at(payload, 8),
-        shards: u32_at(payload, 4) as usize,
-    })
-}
-
-/// Appends a `tcomplete` response frame: the tenant id and its graph
-/// generation, then the exact legacy response payload.
+/// Appends a `tcomplete` response frame.
 #[allow(clippy::too_many_arguments)]
 pub fn encode_tcomplete_ok(
     buf: &mut Vec<u8>,
@@ -477,15 +418,33 @@ pub fn encode_tcomplete_ok(
     extend_matrix_le(buf, output);
 }
 
-/// Decodes a `tcomplete` response payload.
-pub fn decode_tcomplete_ok(payload: &[u8]) -> Result<protocol::TokResponse, WireError> {
-    if payload.len() < 16 {
+/// Decodes a `tcomplete` response payload. Unlike request decoding
+/// this materialises the matrix (the client owns the result).
+pub fn decode_tcomplete_ok(payload: &[u8]) -> Result<TokResponse, WireError> {
+    if payload.len() < 40 {
         return Err(WireError::Truncated { what: "tcomplete response head" });
     }
-    Ok(protocol::TokResponse {
+    let rows = u32_at(payload, 32) as usize;
+    let cols = u32_at(payload, 36) as usize;
+    let total = checked_elems(rows, cols)?;
+    let data = &payload[40..];
+    if data.len() != total * 8 {
+        return Err(WireError::Truncated { what: "tcomplete response matrix" });
+    }
+    let mut entries = Vec::with_capacity(total);
+    for chunk in data.chunks_exact(8) {
+        entries.push(f64::from_bits(u64::from_le_bytes(chunk.try_into().expect("8 bytes"))));
+    }
+    Ok(TokResponse {
         tenant: u64_at(payload, 0),
         graph_generation: u64_at(payload, 8),
-        body: decode_complete_ok(&payload[16..])?,
+        body: OkResponse {
+            output: Matrix::from_vec(rows, cols, entries),
+            cache_hit: payload[16] != 0,
+            degraded: payload[17] != 0,
+            generation: u64_at(payload, 24),
+            shards: u32_at(payload, 20) as usize,
+        },
     })
 }
 
@@ -501,7 +460,7 @@ pub fn encode_err(buf: &mut Vec<u8>, request_id: u64, err: &ServeError) {
 }
 
 /// Decodes an `err` response payload back into the typed error the
-/// server sent (same mapping as the text protocol).
+/// server sent.
 pub fn decode_err(payload: &[u8]) -> Result<ServeError, WireError> {
     let code_len = *payload.first().ok_or(WireError::Truncated { what: "err response" })? as usize;
     if payload.len() < 1 + code_len {
@@ -510,135 +469,81 @@ pub fn decode_err(payload: &[u8]) -> Result<ServeError, WireError> {
     let code = std::str::from_utf8(&payload[1..1 + code_len])
         .map_err(|_| WireError::Truncated { what: "err response code" })?;
     let message = String::from_utf8_lossy(&payload[1 + code_len..]);
-    Ok(protocol::remote_error(code, &message))
-}
-
-/// Field order of the `stats` response payload (20 `u64`s).
-fn stats_fields(s: &StatsSnapshot) -> [u64; 20] {
-    [
-        s.requests,
-        s.completed,
-        s.batches,
-        s.rejected,
-        s.expired,
-        s.cache_hits,
-        s.cache_misses,
-        s.cache_evictions,
-        s.generation,
-        s.shards,
-        s.worker_restarts,
-        s.breaker_open,
-        s.degraded_responses,
-        s.retries,
-        s.records_ingested,
-        s.slots_sealed,
-        s.late_records_dropped,
-        s.refreshes_applied,
-        s.refreshes_rolled_back,
-        s.generation_age,
-    ]
-}
-
-/// Appends a `stats` response frame.
-pub fn encode_stats(buf: &mut Vec<u8>, request_id: u64, s: &StatsSnapshot) {
-    let fields = stats_fields(s);
-    encode_header(buf, Opcode::RespStats, request_id, fields.len() * 8);
-    for v in fields {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-/// Decodes a `stats` response payload. The legacy frame predates the
-/// tenant layer, so `graph_generation` and `quota_rejected` decode as
-/// zero (use the `tstats` form to observe them).
-pub fn decode_stats(payload: &[u8]) -> Result<StatsSnapshot, WireError> {
-    if payload.len() != 20 * 8 {
-        return Err(WireError::Truncated { what: "stats response" });
-    }
-    let v = |i: usize| u64_at(payload, i * 8);
-    Ok(StatsSnapshot {
-        requests: v(0),
-        completed: v(1),
-        batches: v(2),
-        rejected: v(3),
-        expired: v(4),
-        cache_hits: v(5),
-        cache_misses: v(6),
-        cache_evictions: v(7),
-        generation: v(8),
-        shards: v(9),
-        worker_restarts: v(10),
-        breaker_open: v(11),
-        degraded_responses: v(12),
-        retries: v(13),
-        records_ingested: v(14),
-        slots_sealed: v(15),
-        late_records_dropped: v(16),
-        refreshes_applied: v(17),
-        refreshes_rolled_back: v(18),
-        generation_age: v(19),
-        graph_generation: 0,
-        quota_rejected: 0,
+    Ok(match code {
+        "overloaded" => ServeError::Overloaded,
+        "deadline" => ServeError::DeadlineExceeded,
+        "shutdown" => ServeError::ShuttingDown,
+        "restarting" => ServeError::ShardRestarting,
+        "bad_request" => ServeError::BadRequest(message.into_owned()),
+        "quota" => ServeError::QuotaExceeded,
+        // `tenant <id> is not registered` — recover the id when the
+        // message carries it in the documented position.
+        "unknown_tenant" => ServeError::UnknownTenant(
+            message.split_whitespace().nth(1).and_then(|t| t.parse().ok()).unwrap_or(0),
+        ),
+        _ => ServeError::Protocol(format!("{code}: {message}")),
     })
 }
 
-/// Appends a `tstats` response frame: the tenant id, then all
-/// [`StatsSnapshot::TENANT_FIELDS`] counters in declaration order.
+/// Appends a `tstats` response frame: the tenant id, the counter
+/// count, then every counter of [`StatsSnapshot::FIELDS`] as its
+/// length-prefixed name and its value.
 pub fn encode_tstats(buf: &mut Vec<u8>, request_id: u64, tenant: u64, s: &StatsSnapshot) {
-    let fields = s.tenant_fields();
-    encode_header(buf, Opcode::RespTStats, request_id, 8 + fields.len() * 8);
+    let pairs: usize = StatsSnapshot::FIELDS.iter().map(|(name, _)| 1 + name.len() + 8).sum();
+    encode_header(buf, Opcode::RespTStats, request_id, 10 + pairs);
     buf.extend_from_slice(&tenant.to_le_bytes());
-    for v in fields {
-        buf.extend_from_slice(&v.to_le_bytes());
+    buf.extend_from_slice(&(StatsSnapshot::FIELDS.len() as u16).to_le_bytes());
+    for (name, value) in s.named() {
+        buf.push(u8::try_from(name.len()).expect("counter names fit a u8 length"));
+        buf.extend_from_slice(name.as_bytes());
+        buf.extend_from_slice(&value.to_le_bytes());
     }
 }
 
-/// Decodes a `tstats` response payload into `(tenant, snapshot)`.
+/// Decodes a `tstats` response payload into `(tenant, snapshot)`,
+/// matching each counter to [`StatsSnapshot::FIELDS`] by name: unknown
+/// names are skipped and counters the payload lacks read 0. The
+/// snapshot is filled in place, so a declared count reserves nothing.
 pub fn decode_tstats(payload: &[u8]) -> Result<(u64, StatsSnapshot), WireError> {
-    if payload.len() != 8 + StatsSnapshot::TENANT_FIELDS * 8 {
-        return Err(WireError::Truncated { what: "tstats response" });
+    if payload.len() < 10 {
+        return Err(WireError::Truncated { what: "tstats response head" });
     }
-    let mut fields = [0u64; StatsSnapshot::TENANT_FIELDS];
-    for (i, slot) in fields.iter_mut().enumerate() {
-        *slot = u64_at(payload, 8 + i * 8);
+    let count = u16::from_le_bytes([payload[8], payload[9]]);
+    let mut snapshot = StatsSnapshot::default();
+    let mut rest = &payload[10..];
+    for _ in 0..count {
+        let (&len, tail) =
+            rest.split_first().ok_or(WireError::Truncated { what: "stats counter" })?;
+        let len = usize::from(len);
+        if tail.len() < len + 8 {
+            return Err(WireError::Truncated { what: "stats counter" });
+        }
+        let name = std::str::from_utf8(&tail[..len])
+            .ok()
+            .filter(|name| !name.is_empty())
+            .ok_or(WireError::Malformed { what: "stats counter name" })?;
+        if let Some(&(_, field)) = StatsSnapshot::FIELDS.iter().find(|&&(n, _)| n == name) {
+            *field(&mut snapshot) = u64_at(tail, len);
+        }
+        rest = &tail[len + 8..];
     }
-    Ok((u64_at(payload, 0), StatsSnapshot::from_tenant_fields(fields)))
+    if !rest.is_empty() {
+        return Err(WireError::Malformed { what: "bytes after the last stats counter" });
+    }
+    Ok((u64_at(payload, 0), snapshot))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn complete_request_roundtrip_is_bit_exact() {
-        let m = Matrix::from_vec(2, 2, vec![0.1, -2.5, f64::MIN_POSITIVE, 3.0e300]);
-        let mut buf = Vec::new();
-        encode_complete_request(&mut buf, 99, 3, 5, &m);
-        let header = decode_header(&buf).unwrap().unwrap();
-        assert_eq!(header.opcode, Opcode::Complete);
-        assert_eq!(header.request_id, 99);
-        assert_eq!(buf.len(), HEADER_LEN + header.payload_len);
-        let req = decode_complete_request(&buf[HEADER_LEN..]).unwrap();
-        assert_eq!((req.time_of_day, req.day_of_week), (3, 5));
-        let mut out = Matrix::zeros(2, 2);
-        fill_matrix(&req, &mut out).unwrap();
-        assert_eq!(out, m);
-    }
-
-    #[test]
-    fn complete_response_roundtrip() {
-        let m = Matrix::from_vec(1, 3, vec![0.25, 0.5, 0.25]);
-        let mut buf = Vec::new();
-        encode_complete_ok(&mut buf, 7, &m, true, false, 11, 2);
-        let header = decode_header(&buf).unwrap().unwrap();
-        assert_eq!(header.opcode, Opcode::RespComplete);
-        assert_eq!(header.request_id, 7);
-        let r = decode_complete_ok(&buf[HEADER_LEN..]).unwrap();
-        assert_eq!(r.output, m);
-        assert!(r.cache_hit);
-        assert!(!r.degraded);
-        assert_eq!(r.generation, 11);
-        assert_eq!(r.shards, 2);
+    /// A `tcomplete` request payload head: tenant 0, context (0, 0),
+    /// then the declared shape.
+    fn request_head(rows: u32, cols: u32) -> Vec<u8> {
+        let mut payload = vec![0u8; 16];
+        payload.extend_from_slice(&rows.to_le_bytes());
+        payload.extend_from_slice(&cols.to_le_bytes());
+        payload
     }
 
     #[test]
@@ -652,7 +557,7 @@ mod tests {
     }
 
     #[test]
-    fn garbage_magic_and_version_are_fatal() {
+    fn garbage_magic_version_and_opcodes_are_fatal() {
         let mut buf = Vec::new();
         encode_empty(&mut buf, Opcode::Ping, 1);
         let mut bad = buf.clone();
@@ -660,20 +565,28 @@ mod tests {
         let err = decode_header(&bad).unwrap_err();
         assert!(matches!(err, WireError::BadMagic(_)));
         assert!(err.is_fatal());
-        let mut bad = buf.clone();
-        bad[4] = 9;
-        let err = decode_header(&bad).unwrap_err();
-        assert!(matches!(err, WireError::BadVersion(9)));
-        assert!(err.is_fatal());
-        let mut bad = buf;
-        bad[5] = 0x7f;
-        assert!(matches!(decode_header(&bad).unwrap_err(), WireError::BadOpcode(0x7f)));
+        for version in [1, 9] {
+            let mut bad = buf.clone();
+            bad[4] = version;
+            let err = decode_header(&bad).unwrap_err();
+            assert_eq!(err, WireError::BadVersion(version));
+            assert!(err.is_fatal());
+        }
+        // The tenant-less opcodes of version 1 and their responses are
+        // not opcodes of this protocol.
+        for op in [0x01, 0x02, 0x7f, 0x81, 0x82] {
+            let mut bad = buf.clone();
+            bad[5] = op;
+            let err = decode_header(&bad).unwrap_err();
+            assert_eq!(err, WireError::BadOpcode(op));
+            assert!(err.is_fatal());
+        }
     }
 
     #[test]
     fn oversized_declared_length_is_refused_before_buffering() {
         let mut buf = Vec::new();
-        encode_header(&mut buf, Opcode::Complete, 1, 0);
+        encode_header(&mut buf, Opcode::TComplete, 1, 0);
         buf[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
         let err = decode_header(&buf).unwrap_err();
         assert!(matches!(err, WireError::Oversized { .. }));
@@ -684,59 +597,41 @@ mod tests {
     fn oversized_and_overflowing_shapes_are_rejected() {
         // Shape beyond the wire limit, payload length deliberately
         // tiny: the shape check fires without reserving anything.
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&0u32.to_le_bytes());
-        payload.extend_from_slice(&0u32.to_le_bytes());
-        payload.extend_from_slice(&((MAX_WIRE_ELEMS + 1) as u32).to_le_bytes());
-        payload.extend_from_slice(&1u32.to_le_bytes());
+        let payload = request_head((MAX_WIRE_ELEMS + 1) as u32, 1);
         assert!(matches!(
-            decode_complete_request(&payload).unwrap_err(),
+            decode_tcomplete_request(&payload).unwrap_err(),
             WireError::BadShape { .. }
         ));
         // Admissible shape but a short payload: truncation error, not
         // a large reservation.
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&0u32.to_le_bytes());
-        payload.extend_from_slice(&0u32.to_le_bytes());
-        payload.extend_from_slice(&(MAX_WIRE_ELEMS as u32).to_le_bytes());
-        payload.extend_from_slice(&1u32.to_le_bytes());
+        let mut payload = request_head(MAX_WIRE_ELEMS as u32, 1);
         payload.extend_from_slice(&[0u8; 8]);
         assert!(matches!(
-            decode_complete_request(&payload).unwrap_err(),
+            decode_tcomplete_request(&payload).unwrap_err(),
             WireError::Truncated { .. }
         ));
     }
 
     #[test]
     fn non_finite_and_zero_mass_rows_are_rejected() {
+        let fill = |m: &Matrix| {
+            let mut buf = Vec::new();
+            encode_tcomplete_request(&mut buf, 1, 0, 0, 0, m);
+            let (_, req) = decode_tcomplete_request(&buf[HEADER_LEN..]).unwrap();
+            let mut out = Matrix::zeros(m.rows(), m.cols());
+            fill_matrix(&req, &mut out)
+        };
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let m = Matrix::from_vec(1, 2, vec![0.5, bad]);
-            let mut buf = Vec::new();
-            encode_complete_request(&mut buf, 1, 0, 0, &m);
-            let req = decode_complete_request(&buf[HEADER_LEN..]).unwrap();
-            let mut out = Matrix::zeros(1, 2);
-            assert!(matches!(
-                fill_matrix(&req, &mut out).unwrap_err(),
-                WireError::NonFinite { index: 1 }
-            ));
+            assert_eq!(fill(&m).unwrap_err(), WireError::NonFinite { index: 1 });
         }
         let m = Matrix::from_vec(2, 2, vec![0.5, 0.5, -1.0, 1.0]);
-        let mut buf = Vec::new();
-        encode_complete_request(&mut buf, 1, 0, 0, &m);
-        let req = decode_complete_request(&buf[HEADER_LEN..]).unwrap();
-        let mut out = Matrix::zeros(2, 2);
-        assert!(matches!(
-            fill_matrix(&req, &mut out).unwrap_err(),
-            WireError::ZeroMassNegativeRow { row: 1 }
-        ));
+        assert_eq!(fill(&m).unwrap_err(), WireError::ZeroMassNegativeRow { row: 1 });
+        // Negative entries with non-zero mass are raw observations.
+        assert!(fill(&Matrix::from_vec(1, 2, vec![-1.0, 1.5])).is_ok());
         // All-zero (missing) rows stay valid — completing them is the
         // entire point of the service.
-        let missing = Matrix::zeros(1, 2);
-        let mut buf = Vec::new();
-        encode_complete_request(&mut buf, 1, 0, 0, &missing);
-        let req = decode_complete_request(&buf[HEADER_LEN..]).unwrap();
-        let mut out = Matrix::zeros(1, 2);
-        assert!(fill_matrix(&req, &mut out).is_ok());
+        assert!(fill(&Matrix::zeros(1, 2)).is_ok());
     }
 
     #[test]
@@ -745,6 +640,7 @@ mod tests {
             (ServeError::Overloaded, "overloaded"),
             (ServeError::DeadlineExceeded, "deadline"),
             (ServeError::ShardRestarting, "restarting"),
+            (ServeError::QuotaExceeded, "quota"),
         ] {
             let mut buf = Vec::new();
             encode_err(&mut buf, 5, &err);
@@ -753,48 +649,9 @@ mod tests {
             let back = decode_err(&buf[HEADER_LEN..]).unwrap();
             assert_eq!(back.code(), want);
         }
-    }
-
-    #[test]
-    fn stats_roundtrip() {
-        let s = StatsSnapshot {
-            requests: 1,
-            completed: 2,
-            batches: 3,
-            rejected: 4,
-            expired: 5,
-            cache_hits: 6,
-            cache_misses: 7,
-            cache_evictions: 8,
-            generation: 9,
-            shards: 10,
-            worker_restarts: 11,
-            breaker_open: 12,
-            degraded_responses: 13,
-            retries: 14,
-            records_ingested: 15,
-            slots_sealed: 16,
-            late_records_dropped: 17,
-            refreshes_applied: 18,
-            refreshes_rolled_back: 19,
-            generation_age: 20,
-            // The legacy 20-field frame does not carry the tenant-layer
-            // fields; they must decode back as zero.
-            graph_generation: 0,
-            quota_rejected: 0,
-        };
         let mut buf = Vec::new();
-        encode_stats(&mut buf, 3, &s);
-        let back = decode_stats(&buf[HEADER_LEN..]).unwrap();
-        assert_eq!(format!("{s:?}"), format!("{back:?}"));
-    }
-
-    #[test]
-    fn stats_payload_length_is_enforced() {
-        let mut buf = Vec::new();
-        encode_stats(&mut buf, 1, &StatsSnapshot::default());
-        assert_eq!(buf.len(), HEADER_LEN + 20 * 8);
-        assert!(decode_stats(&buf[HEADER_LEN..buf.len() - 8]).is_err());
+        encode_err(&mut buf, 5, &ServeError::UnknownTenant(12));
+        assert!(matches!(decode_err(&buf[HEADER_LEN..]), Ok(ServeError::UnknownTenant(12))));
     }
 
     #[test]
@@ -804,6 +661,7 @@ mod tests {
         encode_tcomplete_request(&mut buf, 99, 7, 3, 5, &m);
         let header = decode_header(&buf).unwrap().unwrap();
         assert_eq!(header.opcode, Opcode::TComplete);
+        assert_eq!(header.request_id, 99);
         assert_eq!(buf.len(), HEADER_LEN + header.payload_len);
         let (tenant, req) = decode_tcomplete_request(&buf[HEADER_LEN..]).unwrap();
         assert_eq!(tenant, 7);
@@ -811,49 +669,49 @@ mod tests {
         let mut out = Matrix::zeros(2, 2);
         fill_matrix(&req, &mut out).unwrap();
         assert_eq!(out, m);
-        // The tail past the tenant id is byte-identical to the legacy
-        // encoding of the same request.
-        let mut legacy = Vec::new();
-        encode_complete_request(&mut legacy, 99, 3, 5, &m);
-        assert_eq!(&buf[HEADER_LEN + 8..], &legacy[HEADER_LEN..]);
     }
 
     #[test]
     fn tcomplete_response_roundtrip() {
         let m = Matrix::from_vec(1, 3, vec![0.25, 0.5, 0.25]);
-        let mut buf = Vec::new();
-        encode_tcomplete_ok(&mut buf, 7, 4, 2, &m, true, false, 11, 2);
-        let header = decode_header(&buf).unwrap().unwrap();
-        assert_eq!(header.opcode, Opcode::RespTComplete);
-        let r = decode_tcomplete_ok(&buf[HEADER_LEN..]).unwrap();
-        assert_eq!((r.tenant, r.graph_generation), (4, 2));
-        assert_eq!(r.body.output, m);
-        assert!(r.body.cache_hit && !r.body.degraded);
-        assert_eq!((r.body.generation, r.body.shards), (11, 2));
-        // The tail past tenant id + graph generation is byte-identical
-        // to the legacy response encoding.
-        let mut legacy = Vec::new();
-        encode_complete_ok(&mut legacy, 7, &m, true, false, 11, 2);
-        assert_eq!(&buf[HEADER_LEN + 16..], &legacy[HEADER_LEN..]);
+        for degraded in [false, true] {
+            let mut buf = Vec::new();
+            encode_tcomplete_ok(&mut buf, 7, 4, 2, &m, true, degraded, 11, 2);
+            let header = decode_header(&buf).unwrap().unwrap();
+            assert_eq!(header.opcode, Opcode::RespTComplete);
+            assert_eq!(header.request_id, 7);
+            let r = decode_tcomplete_ok(&buf[HEADER_LEN..]).unwrap();
+            assert_eq!((r.tenant, r.graph_generation), (4, 2));
+            assert_eq!(r.body.output, m);
+            assert!(r.body.cache_hit);
+            assert_eq!(r.body.degraded, degraded);
+            assert_eq!((r.body.generation, r.body.shards), (11, 2));
+        }
     }
 
     #[test]
-    fn tstats_roundtrip_and_length_enforcement() {
+    fn tstats_request_roundtrip_and_length_enforcement() {
         let mut buf = Vec::new();
         encode_tstats_request(&mut buf, 2, 9);
         let header = decode_header(&buf).unwrap().unwrap();
         assert_eq!(header.opcode, Opcode::TStats);
         assert_eq!(decode_tstats_request(&buf[HEADER_LEN..]).unwrap(), 9);
+        assert!(decode_tstats_request(&buf[HEADER_LEN..buf.len() - 1]).is_err());
+    }
 
-        let fields: [u64; StatsSnapshot::TENANT_FIELDS] =
-            std::array::from_fn(|i| (i as u64).wrapping_mul(0x9e37_79b9) + 1);
-        let s = StatsSnapshot::from_tenant_fields(fields);
-        let mut buf = Vec::new();
-        encode_tstats(&mut buf, 3, 9, &s);
-        assert_eq!(buf.len(), HEADER_LEN + 8 + StatsSnapshot::TENANT_FIELDS * 8);
-        let (tenant, back) = decode_tstats(&buf[HEADER_LEN..]).unwrap();
-        assert_eq!(tenant, 9);
-        assert_eq!(back.tenant_fields(), fields);
-        assert!(decode_tstats(&buf[HEADER_LEN..buf.len() - 8]).is_err());
+    #[test]
+    fn stats_decoder_matches_counters_by_name() {
+        // A peer's answer with its counters reordered, one this build
+        // does not know, and most of this build's counters missing.
+        let mut payload = 5u64.to_le_bytes().to_vec();
+        payload.extend_from_slice(&3u16.to_le_bytes());
+        for (name, value) in [("cache_hits", 7u64), ("a_newer_counter", 9), ("requests", 11)] {
+            payload.push(name.len() as u8);
+            payload.extend_from_slice(name.as_bytes());
+            payload.extend_from_slice(&value.to_le_bytes());
+        }
+        let (tenant, s) = decode_tstats(&payload).unwrap();
+        assert_eq!(tenant, 5);
+        assert_eq!(s, StatsSnapshot { cache_hits: 7, requests: 11, ..Default::default() });
     }
 }

@@ -1,12 +1,11 @@
 //! End-to-end tests of the binary (length-prefixed) front end: the
 //! wire contract is *bit-exactness* — raw little-endian f64 bit
 //! patterns — so every response must be bit-identical to direct
-//! in-process inference and to the text debug protocol. On top of
-//! that: pipelining (many in-flight ids on one connection) must equal
+//! in-process inference. On top of that: pipelining (many in-flight ids on one connection) must equal
 //! sequential requests bitwise, torn/fragmented frames must survive
 //! byte-at-a-time delivery, malformed frames must answer typed errors
-//! (payload-level errors keep the session; header-level errors close
-//! it), connect-to-first-response latency must be far below the old
+//! (payload-level errors keep the session; header-level errors, legacy
+//! opcodes and other protocol versions close it), connect-to-first-response latency must be far below the old
 //! 50 ms poll-loop worst case, and ten thousand idle connections must
 //! not grow the process thread count at all.
 
@@ -15,7 +14,7 @@ use gcwc::{build_samples, AGcwcModel, InferWorkspace, ModelConfig, TaskKind, Tra
 use gcwc_linalg::Matrix;
 use gcwc_serve::{
     derive_row_flags, wire, AnyModel, BinClient, Engine, EngineConfig, ModelRegistry, ServeError,
-    Server, ServerConfig, TcpClient,
+    Server, TenantId,
 };
 use gcwc_traffic::{generators, simulate, HistogramSpec, SimConfig};
 use proptest::prelude::*;
@@ -79,14 +78,12 @@ fn bits(m: &Matrix) -> Vec<u64> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
+/// The tenant [`Server::start`] serves its engine as.
+const TENANT: u64 = TenantId::DEFAULT.0;
+
 fn start_server() -> (Arc<Engine>, Server) {
     let engine = Arc::new(Engine::new(make_registry(), EngineConfig::default()));
-    let server = Server::start_with(
-        Arc::clone(&engine),
-        "127.0.0.1:0",
-        ServerConfig { text_port: Some(0), ..Default::default() },
-    )
-    .unwrap();
+    let server = Server::start(Arc::clone(&engine), "127.0.0.1:0").unwrap();
     (engine, server)
 }
 
@@ -105,26 +102,26 @@ fn os_threads() -> u64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Binary responses are bit-identical to direct inference AND to
-    /// the text protocol answering the same request — the two front
-    /// ends are interchangeable down to the last mantissa bit.
+    /// Binary responses are bit-identical to direct inference, down to
+    /// the last mantissa bit.
     #[test]
-    fn binary_text_and_direct_agree_bitwise(picks in collection::vec(0usize..12, 1..4)) {
+    fn binary_and_direct_agree_bitwise(picks in collection::vec(0usize..12, 1..4)) {
         let f = fixture();
         let (engine, mut server) = start_server();
         let mut bin = BinClient::connect(server.addr()).unwrap();
-        let mut text = TcpClient::connect(server.text_addr().unwrap()).unwrap();
         for &pick in &picks {
             let s = &f.samples[pick];
             let want = direct_completion(&s.input, s.context.time_of_day, s.context.day_of_week);
-            let via_text = text
-                .complete(&s.input, s.context.time_of_day, s.context.day_of_week)
-                .unwrap();
             let via_bin = bin
-                .complete(&s.input, s.context.time_of_day, s.context.day_of_week)
+                .tcomplete(TENANT, &s.input, s.context.time_of_day, s.context.day_of_week)
                 .unwrap();
-            prop_assert_eq!(&bits(&want), &bits(&via_text.output), "text vs direct, pick {}", pick);
-            prop_assert_eq!(&bits(&want), &bits(&via_bin.output), "binary vs direct, pick {}", pick);
+            prop_assert_eq!(via_bin.tenant, TENANT);
+            prop_assert_eq!(
+                &bits(&want),
+                &bits(&via_bin.body.output),
+                "binary vs direct, pick {}",
+                pick
+            );
         }
         server.stop();
         engine.shutdown();
@@ -166,18 +163,18 @@ proptest! {
         let m = Matrix::from_vec(rows, cols, padded);
 
         let mut frame = Vec::new();
-        wire::encode_complete_request(&mut frame, 9, 3, 2, &m);
+        wire::encode_tcomplete_request(&mut frame, 9, TENANT, 3, 2, &m);
         let header = wire::decode_header(&frame).unwrap().expect("full header");
         prop_assert_eq!(header.request_id, 9);
-        let req = wire::decode_complete_request(&frame[wire::HEADER_LEN..]).unwrap();
+        let (_, req) = wire::decode_tcomplete_request(&frame[wire::HEADER_LEN..]).unwrap();
         let mut out = Matrix::zeros(rows, cols);
         wire::fill_matrix(&req, &mut out).unwrap();
         prop_assert_eq!(&bits(&m), &bits(&out), "request round-trip");
 
         let mut resp = Vec::new();
-        wire::encode_complete_ok(&mut resp, 9, &m, false, false, 1, 1);
-        let ok = wire::decode_complete_ok(&resp[wire::HEADER_LEN..]).unwrap();
-        prop_assert_eq!(&bits(&m), &bits(&ok.output), "response round-trip");
+        wire::encode_tcomplete_ok(&mut resp, 9, TENANT, 0, &m, false, false, 1, 1);
+        let ok = wire::decode_tcomplete_ok(&resp[wire::HEADER_LEN..]).unwrap();
+        prop_assert_eq!(&bits(&m), &bits(&ok.body.output), "response round-trip");
     }
 }
 
@@ -195,9 +192,10 @@ fn pipelined_equals_sequential_bitwise() {
         .iter()
         .map(|&p| {
             let s = &f.samples[p];
-            let resp =
-                seq.complete(&s.input, s.context.time_of_day, s.context.day_of_week).unwrap();
-            bits(&resp.output)
+            let resp = seq
+                .tcomplete(TENANT, &s.input, s.context.time_of_day, s.context.day_of_week)
+                .unwrap();
+            bits(&resp.body.output)
         })
         .collect();
 
@@ -205,8 +203,9 @@ fn pipelined_equals_sequential_bitwise() {
     let mut id_to_pick = std::collections::HashMap::new();
     for &p in &picks {
         let s = &f.samples[p];
-        let id =
-            pipe.send_complete(&s.input, s.context.time_of_day, s.context.day_of_week).unwrap();
+        let id = pipe
+            .send_tcomplete(TENANT, &s.input, s.context.time_of_day, s.context.day_of_week)
+            .unwrap();
         id_to_pick.insert(id, p);
     }
     let mut answered = BTreeSet::new();
@@ -217,7 +216,7 @@ fn pipelined_equals_sequential_bitwise() {
         let resp = result.expect("pipelined completion");
         assert_eq!(
             sequential[picks.iter().position(|&x| x == p).unwrap()],
-            bits(&resp.output),
+            bits(&resp.body.output),
             "pipelined response for pick {p} diverged from sequential"
         );
     }
@@ -238,9 +237,10 @@ fn fragmented_one_byte_writes_survive() {
     let want = direct_completion(&s.input, s.context.time_of_day, s.context.day_of_week);
 
     let mut frame = Vec::new();
-    wire::encode_complete_request(
+    wire::encode_tcomplete_request(
         &mut frame,
         77,
+        TENANT,
         s.context.time_of_day,
         s.context.day_of_week,
         &s.input,
@@ -267,35 +267,67 @@ fn fragmented_one_byte_writes_survive() {
     assert_eq!(header.request_id, 77);
     let mut payload = vec![0u8; header.payload_len];
     stream.read_exact(&mut payload).unwrap();
-    let resp = wire::decode_complete_ok(&payload).unwrap();
-    assert_eq!(bits(&want), bits(&resp.output), "fragmented request must answer bit-exactly");
+    let resp = wire::decode_tcomplete_ok(&payload).unwrap();
+    assert_eq!(bits(&want), bits(&resp.body.output), "fragmented request must answer bit-exactly");
 
     server.stop();
     engine.shutdown();
 }
 
-/// Garbage magic is a header-level (fatal) error: the server answers
+/// Garbage magic, an opcode this protocol does not have, and another
+/// protocol version are header-level (fatal) errors: the server answers
 /// one typed error frame and closes the connection — framing can no
 /// longer be trusted.
 #[test]
 fn garbage_magic_answers_typed_error_and_closes() {
-    let (engine, mut server) = start_server();
-    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
-    stream.set_nodelay(true).unwrap();
-    stream.write_all(b"GET / HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+    let f = fixture();
+    let s = &f.samples[0];
+    let mut tcomplete = Vec::new();
+    wire::encode_tcomplete_request(
+        &mut tcomplete,
+        3,
+        TENANT,
+        s.context.time_of_day,
+        s.context.day_of_week,
+        &s.input,
+    );
+    // The tenant-less completion of version 1: opcode 0x01, the
+    // tcomplete payload without its tenant id.
+    let mut legacy = tcomplete.clone();
+    legacy[5] = 0x01;
+    legacy.drain(wire::HEADER_LEN..wire::HEADER_LEN + 8);
+    legacy[16..20]
+        .copy_from_slice(&((tcomplete.len() - wire::HEADER_LEN - 8) as u32).to_le_bytes());
+    // A well-formed request under a version-1 header.
+    let mut version_1 = tcomplete;
+    version_1[4] = 1;
 
-    let mut head = [0u8; wire::HEADER_LEN];
-    stream.read_exact(&mut head).unwrap();
-    let header = wire::decode_header(&head).unwrap().expect("full header");
-    assert_eq!(header.opcode, wire::Opcode::RespErr);
-    let mut payload = vec![0u8; header.payload_len];
-    stream.read_exact(&mut payload).unwrap();
-    let err = wire::decode_err(&payload).unwrap();
-    assert!(matches!(err, ServeError::Protocol(_)), "got {err:?}");
-    // ...and the stream is closed.
-    let mut rest = Vec::new();
-    stream.read_to_end(&mut rest).unwrap();
-    assert!(rest.is_empty(), "no bytes after the fatal error frame");
+    let (engine, mut server) = start_server();
+    for (bytes, why) in [
+        (b"GET / HTTP/1.1\r\nHost: x\r\n\r\n".to_vec(), "bad frame magic"),
+        (legacy, "unknown opcode 0x01"),
+        (version_1, "unsupported protocol version 1"),
+    ] {
+        let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream.write_all(&bytes).unwrap();
+
+        let mut head = [0u8; wire::HEADER_LEN];
+        stream.read_exact(&mut head).unwrap();
+        let header = wire::decode_header(&head).unwrap().expect("full header");
+        assert_eq!(header.opcode, wire::Opcode::RespErr);
+        let mut payload = vec![0u8; header.payload_len];
+        stream.read_exact(&mut payload).unwrap();
+        let err = wire::decode_err(&payload).unwrap();
+        assert!(
+            matches!(&err, ServeError::Protocol(m) if m.contains(why)),
+            "want {why:?}, got {err:?}"
+        );
+        // ...and the stream is closed.
+        let mut rest = Vec::new();
+        stream.read_to_end(&mut rest).unwrap();
+        assert!(rest.is_empty(), "no bytes after the fatal error frame ({why})");
+    }
 
     server.stop();
     engine.shutdown();
@@ -312,7 +344,7 @@ fn oversized_declared_length_is_refused_and_closed() {
     let mut head = Vec::new();
     head.extend_from_slice(&wire::MAGIC);
     head.push(wire::VERSION);
-    head.push(0x01); // complete
+    head.push(wire::Opcode::TComplete as u8);
     head.extend_from_slice(&[0, 0]);
     head.extend_from_slice(&5u64.to_le_bytes());
     head.extend_from_slice(&u32::MAX.to_le_bytes()); // ~4 GiB payload
@@ -350,7 +382,7 @@ fn payload_errors_keep_the_session_alive() {
     poisoned.as_mut_slice().fill(1.0);
     poisoned.as_mut_slice()[3] = f64::NAN;
     let mut frame = Vec::new();
-    wire::encode_complete_request(&mut frame, 41, 0, 0, &poisoned);
+    wire::encode_tcomplete_request(&mut frame, 41, TENANT, 0, 0, &poisoned);
     stream.write_all(&frame).unwrap();
 
     let read_frame = |stream: &mut std::net::TcpStream| {
@@ -371,19 +403,20 @@ fn payload_errors_keep_the_session_alive() {
     let s = &f.samples[2];
     let want = direct_completion(&s.input, s.context.time_of_day, s.context.day_of_week);
     let mut frame = Vec::new();
-    wire::encode_complete_request(
+    wire::encode_tcomplete_request(
         &mut frame,
         42,
+        TENANT,
         s.context.time_of_day,
         s.context.day_of_week,
         &s.input,
     );
     stream.write_all(&frame).unwrap();
     let (header, payload) = read_frame(&mut stream);
-    assert_eq!(header.opcode, wire::Opcode::RespComplete);
+    assert_eq!(header.opcode, wire::Opcode::RespTComplete);
     assert_eq!(header.request_id, 42);
-    let resp = wire::decode_complete_ok(&payload).unwrap();
-    assert_eq!(bits(&want), bits(&resp.output), "session must survive a payload error");
+    let resp = wire::decode_tcomplete_ok(&payload).unwrap();
+    assert_eq!(bits(&want), bits(&resp.body.output), "session must survive a payload error");
 
     server.stop();
     engine.shutdown();
@@ -409,18 +442,6 @@ fn connect_to_first_response_latency_is_event_driven() {
         p99 < Duration::from_millis(25),
         "connect→first-response p99 {p99:?} — the front end is sleeping, not event-driven"
     );
-
-    // The text port shares the reactor, so the same bound holds there.
-    let mut text_latency = Vec::new();
-    for _ in 0..10 {
-        let t = Instant::now();
-        let mut c = TcpClient::connect(server.text_addr().unwrap()).unwrap();
-        assert!(c.ping().unwrap());
-        text_latency.push(t.elapsed());
-    }
-    text_latency.sort();
-    let p99 = text_latency[text_latency.len() - 1];
-    assert!(p99 < Duration::from_millis(25), "text port p99 {p99:?} not event-driven");
 
     server.stop();
     engine.shutdown();
@@ -465,9 +486,10 @@ fn ten_thousand_idle_connections_add_no_threads() {
     let want = direct_completion(&s.input, s.context.time_of_day, s.context.day_of_week);
     let mut active = BinClient::connect(server.addr()).unwrap();
     let t = Instant::now();
-    let resp = active.complete(&s.input, s.context.time_of_day, s.context.day_of_week).unwrap();
+    let resp =
+        active.tcomplete(TENANT, &s.input, s.context.time_of_day, s.context.day_of_week).unwrap();
     let latency = t.elapsed();
-    assert_eq!(bits(&want), bits(&resp.output));
+    assert_eq!(bits(&want), bits(&resp.body.output));
     assert!(
         latency < Duration::from_secs(1),
         "active request took {latency:?} with {target} idle connections"
@@ -489,7 +511,10 @@ fn quit_drains_pipelined_responses_before_bye() {
     let s = &f.samples[3];
     let mut ids = Vec::new();
     for _ in 0..8 {
-        ids.push(c.send_complete(&s.input, s.context.time_of_day, s.context.day_of_week).unwrap());
+        ids.push(
+            c.send_tcomplete(TENANT, &s.input, s.context.time_of_day, s.context.day_of_week)
+                .unwrap(),
+        );
     }
     // quit() itself drains every pending response until bye.
     c.quit().unwrap();

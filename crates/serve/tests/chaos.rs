@@ -104,6 +104,9 @@ fn make_registry() -> Arc<ModelRegistry> {
     registry
 }
 
+/// The tenant [`Server::start`] serves its engine as.
+const DEFAULT: u64 = TenantId::DEFAULT.0;
+
 fn bits(m: &Matrix) -> Vec<u64> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
@@ -399,8 +402,7 @@ fn reactor_tick_faults_never_hang_or_corrupt_the_binary_front_end() {
         make_registry(),
         EngineConfig { workers: 1, cache_capacity: 0, ..Default::default() },
     ));
-    let mut server =
-        Server::start_with(Arc::clone(&engine), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut server = Server::start(Arc::clone(&engine), "127.0.0.1:0").unwrap();
     let mut client = BinClient::connect(server.addr()).unwrap();
 
     // A mix of dropped ticks and injected stalls, bounded so the
@@ -410,10 +412,10 @@ fn reactor_tick_faults_never_hang_or_corrupt_the_binary_front_end() {
     for (i, want) in f.reference.iter().enumerate() {
         let s = &f.samples[i];
         let resp = client
-            .complete(&s.input, s.context.time_of_day, s.context.day_of_week)
+            .tcomplete(DEFAULT, &s.input, s.context.time_of_day, s.context.day_of_week)
             .expect("tick faults must delay, not fail, requests");
-        assert!(!resp.degraded);
-        assert_eq!(bits(want), bits(&resp.output), "request {i} under tick chaos");
+        assert!(!resp.body.degraded);
+        assert_eq!(bits(want), bits(&resp.body.output), "request {i} under tick chaos");
     }
     disarm_all();
     server.stop();
@@ -433,8 +435,7 @@ fn conn_read_fault_closes_typed_and_reconnect_serves_exactly() {
         make_registry(),
         EngineConfig { workers: 1, cache_capacity: 0, ..Default::default() },
     ));
-    let mut server =
-        Server::start_with(Arc::clone(&engine), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut server = Server::start(Arc::clone(&engine), "127.0.0.1:0").unwrap();
 
     // Connect while the site is quiet, then arm it: the very next
     // readable event on this connection kills it.
@@ -442,7 +443,7 @@ fn conn_read_fault_closes_typed_and_reconnect_serves_exactly() {
     assert!(doomed.ping().unwrap());
     gcwc_failpoint::configure(failsite::CONN_READ, "1*err->off").unwrap();
     let s = &f.samples[0];
-    let torn = doomed.complete(&s.input, s.context.time_of_day, s.context.day_of_week);
+    let torn = doomed.tcomplete(DEFAULT, &s.input, s.context.time_of_day, s.context.day_of_week);
     match torn {
         Err(ServeError::Io(_)) => {} // typed: the peer sees EOF/reset
         Err(other) => panic!("expected a typed I/O error from the torn connection, got {other}"),
@@ -452,10 +453,10 @@ fn conn_read_fault_closes_typed_and_reconnect_serves_exactly() {
 
     let mut fresh = BinClient::connect(server.addr()).unwrap();
     let resp = fresh
-        .complete(&s.input, s.context.time_of_day, s.context.day_of_week)
+        .tcomplete(DEFAULT, &s.input, s.context.time_of_day, s.context.day_of_week)
         .expect("reconnect must serve");
-    assert!(!resp.degraded);
-    assert_eq!(bits(&f.reference[0]), bits(&resp.output), "post-reconnect response");
+    assert!(!resp.body.degraded);
+    assert_eq!(bits(&f.reference[0]), bits(&resp.body.output), "post-reconnect response");
     server.stop();
     engine.shutdown();
 }
@@ -473,14 +474,15 @@ fn unarmed_binary_front_end_serves_bit_identically() {
         make_registry(),
         EngineConfig { workers: 1, cache_capacity: 0, ..Default::default() },
     ));
-    let mut server =
-        Server::start_with(Arc::clone(&engine), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut server = Server::start(Arc::clone(&engine), "127.0.0.1:0").unwrap();
     let mut client = BinClient::connect(server.addr()).unwrap();
     for (i, want) in f.reference.iter().enumerate() {
         let s = &f.samples[i];
-        let resp = client.complete(&s.input, s.context.time_of_day, s.context.day_of_week).unwrap();
-        assert!(!resp.degraded);
-        assert_eq!(bits(want), bits(&resp.output), "request {i}");
+        let resp = client
+            .tcomplete(DEFAULT, &s.input, s.context.time_of_day, s.context.day_of_week)
+            .unwrap();
+        assert!(!resp.body.degraded);
+        assert_eq!(bits(want), bits(&resp.body.output), "request {i}");
     }
     let stats = engine.stats();
     assert_eq!(stats.worker_restarts, 0, "stats: {stats:?}");
@@ -494,9 +496,9 @@ fn unarmed_binary_front_end_serves_bit_identically() {
 /// its quota exhausted (both organically and via the quota failpoint),
 /// tenant B — sharing the same process, reactor, and listener — serves
 /// every request bit-identical to its unarmed baseline with zero
-/// degraded / retry / quota / breaker counters. Also pins the legacy
-/// compatibility contract: with no default tenant registered,
-/// tenant-less requests answer `unknown_tenant`.
+/// degraded / retry / quota / breaker counters. Also pins that an
+/// unregistered tenant id — the default id 0 included — answers
+/// `unknown_tenant`.
 #[test]
 fn tenant_chaos_never_leaks_across_tenants() {
     let _guard = chaos_lock();
@@ -526,12 +528,12 @@ fn tenant_chaos_never_leaks_across_tenants() {
         Server::start_tenants(&tenants, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let mut client = BinClient::connect(server.addr()).unwrap();
 
-    // No default tenant: the legacy forms answer unknown_tenant, and
-    // an unregistered tenant id answers it too.
+    // No default tenant registered: id 0 answers unknown_tenant, as
+    // does any other unregistered tenant id.
     let s0 = &f.samples[0];
-    match client.complete(&s0.input, s0.context.time_of_day, s0.context.day_of_week) {
+    match client.tcomplete(DEFAULT, &s0.input, s0.context.time_of_day, s0.context.day_of_week) {
         Err(ServeError::UnknownTenant(0)) => {}
-        other => panic!("legacy complete without a default tenant: {other:?}"),
+        other => panic!("tcomplete for tenant 0 without a default tenant: {other:?}"),
     }
     match client.tcomplete(99, &s0.input, s0.context.time_of_day, s0.context.day_of_week) {
         Err(ServeError::UnknownTenant(99)) => {}
@@ -582,7 +584,7 @@ fn tenant_chaos_never_leaks_across_tenants() {
     }
 
     // Tenant A's counters show the carnage.
-    let sa = client.tstats_for(a.0).unwrap();
+    let sa = client.tstats(a.0).unwrap();
     assert!(sa.breaker_open >= 1, "A stats: {sa:?}");
     assert_eq!(sa.degraded_responses, 2, "A stats: {sa:?}");
     assert_eq!(sa.quota_rejected, 2, "A stats: {sa:?}");
@@ -599,7 +601,7 @@ fn tenant_chaos_never_leaks_across_tenants() {
         assert_eq!(r.graph_generation, 0);
         assert_eq!(want, &bits(&r.body.output), "B request {i} under A's chaos");
     }
-    let sb = client.tstats_for(b.0).unwrap();
+    let sb = client.tstats(b.0).unwrap();
     assert_eq!(sb.degraded_responses, 0, "B stats: {sb:?}");
     assert_eq!(sb.retries, 0, "B stats: {sb:?}");
     assert_eq!(sb.quota_rejected, 0, "B stats: {sb:?}");

@@ -7,8 +7,8 @@ use gcwc::CompletionModel;
 use gcwc::{build_samples, AGcwcModel, InferWorkspace, ModelConfig, TaskKind, TrainSample};
 use gcwc_linalg::Matrix;
 use gcwc_serve::{
-    derive_row_flags, AnyModel, Engine, EngineConfig, ModelRegistry, ServeError, Server,
-    ServerConfig, TcpClient,
+    derive_row_flags, AnyModel, BinClient, Engine, EngineConfig, ModelRegistry, ServeError, Server,
+    TenantId,
 };
 use gcwc_traffic::{generators, simulate, HistogramSpec, SimConfig};
 use proptest::prelude::*;
@@ -70,19 +70,6 @@ fn direct_completion(input: &Matrix, time_of_day: usize, day_of_week: usize) -> 
 
 fn bits(m: &Matrix) -> Vec<u64> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
-}
-
-/// Starts a server with the text debug port enabled (on an ephemeral
-/// port) and returns it with the text address.
-fn start_with_text(engine: &Arc<Engine>) -> (Server, std::net::SocketAddr) {
-    let server = Server::start_with(
-        Arc::clone(engine),
-        "127.0.0.1:0",
-        ServerConfig { text_port: Some(0), ..Default::default() },
-    )
-    .unwrap();
-    let text = server.text_addr().expect("text port requested");
-    (server, text)
 }
 
 proptest! {
@@ -298,21 +285,30 @@ fn malformed_requests_get_bad_request() {
 fn tcp_end_to_end_matches_direct_inference() {
     let f = fixture();
     let engine = Arc::new(Engine::new(make_registry(), EngineConfig::default()));
-    let (mut server, text_addr) = start_with_text(&engine);
-    let mut tcp = TcpClient::connect(text_addr).unwrap();
+    let mut server = Server::start(Arc::clone(&engine), "127.0.0.1:0").unwrap();
+    let mut tcp = BinClient::connect(server.addr()).unwrap();
     assert!(tcp.ping().unwrap());
+    let tenant = TenantId::DEFAULT.0;
 
     let s = &f.samples[1];
     let expected = direct_completion(&s.input, s.context.time_of_day, s.context.day_of_week);
-    let first = tcp.complete(&s.input, s.context.time_of_day, s.context.day_of_week).unwrap();
-    assert_eq!(bits(&expected), bits(&first.output), "wire transfer must be bit-exact");
-    assert!(!first.cache_hit);
-    let second = tcp.complete(&s.input, s.context.time_of_day, s.context.day_of_week).unwrap();
-    assert!(second.cache_hit, "repeat request must be served from cache");
-    assert_eq!(bits(&expected), bits(&second.output));
+    let first =
+        tcp.tcomplete(tenant, &s.input, s.context.time_of_day, s.context.day_of_week).unwrap();
+    assert_eq!(first.tenant, tenant);
+    assert_eq!(bits(&expected), bits(&first.body.output), "wire transfer must be bit-exact");
+    assert!(!first.body.cache_hit);
+    let second =
+        tcp.tcomplete(tenant, &s.input, s.context.time_of_day, s.context.day_of_week).unwrap();
+    assert!(second.body.cache_hit, "repeat request must be served from cache");
+    assert_eq!(bits(&expected), bits(&second.body.output));
 
-    let stats_line = tcp.stats().unwrap();
-    assert!(stats_line.starts_with("stats "), "got {stats_line:?}");
+    // The counters read over the wire, matched by name, are the
+    // engine's own (both are counted before an answer is sent).
+    let wire_stats = tcp.tstats(tenant).unwrap();
+    let local = engine.stats();
+    assert_eq!((wire_stats.completed, wire_stats.cache_hits), (2, 1));
+    assert_eq!(wire_stats.completed, local.completed);
+    assert_eq!(wire_stats.cache_hits, local.cache_hits);
     tcp.quit().unwrap();
     server.stop();
     engine.shutdown();
@@ -360,83 +356,5 @@ fn hot_swap_invalidates_cached_completions() {
         bits(&after.output),
         "post-swap completion must come from the new model"
     );
-    engine.shutdown();
-}
-
-#[test]
-fn fragmented_tcp_request_survives_read_timeouts() {
-    use std::io::{BufRead, BufReader, Write};
-
-    let f = fixture();
-    let engine = Arc::new(Engine::new(make_registry(), EngineConfig::default()));
-    let (mut server, text_addr) = start_with_text(&engine);
-
-    let s = &f.samples[0];
-    let expected = direct_completion(&s.input, s.context.time_of_day, s.context.day_of_week);
-    let mut request = format!(
-        "complete {} {} {} {}",
-        s.context.time_of_day,
-        s.context.day_of_week,
-        s.input.rows(),
-        s.input.cols()
-    );
-    gcwc_serve::protocol::write_matrix_hex(&mut request, &s.input);
-    request.push('\n');
-
-    // Deliver the line in two chunks separated by a long pause: the
-    // reactor must buffer the partial line across readiness events
-    // instead of discarding it.
-    let stream = std::net::TcpStream::connect(text_addr).unwrap();
-    stream.set_nodelay(true).unwrap();
-    let mut writer = stream.try_clone().unwrap();
-    let bytes = request.as_bytes();
-    let split = bytes.len() / 2;
-    writer.write_all(&bytes[..split]).unwrap();
-    writer.flush().unwrap();
-    std::thread::sleep(Duration::from_millis(200));
-    writer.write_all(&bytes[split..]).unwrap();
-    writer.flush().unwrap();
-
-    let mut line = String::new();
-    BufReader::new(stream).read_line(&mut line).unwrap();
-    let response = gcwc_serve::protocol::parse_complete_response(line.trim_end()).unwrap();
-    assert_eq!(
-        bits(&expected),
-        bits(&response.output),
-        "fragmented request must parse and answer exactly"
-    );
-
-    server.stop();
-    engine.shutdown();
-}
-
-#[test]
-fn malformed_bytes_get_an_err_reply_and_the_session_survives() {
-    use std::io::{BufRead, BufReader, Write};
-    let engine = Arc::new(Engine::new(make_registry(), EngineConfig::default()));
-    let (mut server, text_addr) = start_with_text(&engine);
-
-    let stream = std::net::TcpStream::connect(text_addr).unwrap();
-    stream.set_nodelay(true).unwrap();
-    let mut writer = stream.try_clone().unwrap();
-    let mut reader = BufReader::new(stream);
-    let mut reply = String::new();
-
-    // A line of invalid UTF-8 cannot be a protocol request: the server
-    // must say why instead of silently dropping the connection.
-    writer.write_all(&[0xff, 0xfe, 0x80, 0x41, b'\n']).unwrap();
-    writer.flush().unwrap();
-    reader.read_line(&mut reply).unwrap();
-    assert_eq!(reply.trim_end(), "err protocol request is not valid utf-8");
-
-    // The malformed bytes were consumed, so the same session still
-    // serves well-formed requests afterwards.
-    writer.write_all(b"ping\n").unwrap();
-    writer.flush().unwrap();
-    reply.clear();
-    reader.read_line(&mut reply).unwrap();
-    assert_eq!(reply.trim_end(), "pong");
-
-    server.stop();
     engine.shutdown();
 }

@@ -193,8 +193,8 @@ fn tenant_delta_reserve_matches_fresh_single_tenant_process() {
         tenants.shutdown();
 
         // Phase 3: a fresh single-tenant process built directly on the
-        // post-delta graph (same ownership, same seed), serving the
-        // legacy tenant-less protocol.
+        // post-delta graph (same ownership, same seed), serving its one
+        // engine as the default tenant.
         let post = Arc::new(PartitionSet::from_owner_of(&new_graph, owners, k));
         let fresh = train(post, &samples, seed);
         let expected: Vec<Vec<u64>> =
@@ -205,15 +205,20 @@ fn tenant_delta_reserve_matches_fresh_single_tenant_process() {
             EngineConfig { workers: 1, ..Default::default() },
         ));
         let mut fresh_server = Server::start(Arc::clone(&engine), "127.0.0.1:0").unwrap();
-        let mut legacy = BinClient::connect(fresh_server.addr()).unwrap();
+        let mut single = BinClient::connect(fresh_server.addr()).unwrap();
         let p3: Vec<Vec<u64>> = samples[..3]
             .iter()
             .map(|s| {
-                let r = legacy
-                    .complete(&s.input, s.context.time_of_day, s.context.day_of_week)
+                let r = single
+                    .tcomplete(
+                        TenantId::DEFAULT.0,
+                        &s.input,
+                        s.context.time_of_day,
+                        s.context.day_of_week,
+                    )
                     .unwrap();
-                assert!(!r.degraded, "K={k}");
-                bits(&r.output)
+                assert!(!r.body.degraded, "K={k}");
+                bits(&r.body.output)
             })
             .collect();
         fresh_server.stop();

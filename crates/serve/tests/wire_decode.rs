@@ -5,16 +5,65 @@
 //! fill must copy the wire bits exactly.
 //!
 //! Uniformly random bytes almost never get past the length checks, so
-//! a second strategy builds near-valid payloads: the shape fields sit
-//! at every offset a decoder reads them from, the entry count matches
-//! the shape (or misses it by one byte), and entries come from a
-//! palette of zeros, signed ones and halves, NaN and −Inf, so rows
-//! that cancel to zero mass are common.
+//! two more strategies build near-valid payloads. The first puts the
+//! shape fields at every offset a decoder reads them from, makes the
+//! entry count match the shape (or miss it by one byte), and draws
+//! entries from a palette of zeros, signed ones and halves, NaN and
+//! −Inf, so rows that cancel to zero mass are common. The second
+//! breaks a real named-stats answer in one of the ways its layout
+//! allows, and checks the stats decoder's typed answer to each — and
+//! that it never allocates more than the payload it was given.
 
 use gcwc_linalg::Matrix;
-use gcwc_serve::wire::{self, CompleteRequest, WireError};
+use gcwc_serve::wire::{self, CompleteRequest, WireError, HEADER_LEN};
+use gcwc_serve::StatsSnapshot;
 use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+
+thread_local! {
+    static LARGEST_ALLOC: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The system allocator, noting the largest single request each thread
+/// makes.
+struct Largest;
+
+// SAFETY: defers every operation to `System`; the thread local is
+// const-initialised, so noting a size never allocates.
+unsafe impl GlobalAlloc for Largest {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller's `layout` contract passes through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: `ptr` and `layout` come from `System` underneath.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as for `realloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Largest = Largest;
+
+fn note(bytes: usize) {
+    let _ = LARGEST_ALLOC.try_with(|c| c.set(c.get().max(bytes)));
+}
+
+/// Runs `f`, returning its result and the largest allocation it made.
+fn largest_alloc<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST_ALLOC.with(|c| c.set(0));
+    let out = f();
+    (out, LARGEST_ALLOC.with(Cell::get))
+}
 
 const PALETTE: [f64; 10] =
     [0.0, -0.0, 1.0, -1.0, 1.0, -1.0, 0.5, -0.5, f64::NAN, f64::NEG_INFINITY];
@@ -41,17 +90,12 @@ fn fill(req: &CompleteRequest<'_>) -> Result<(), String> {
 /// Runs every decoder over `bytes`.
 fn decode_everything(bytes: &[u8]) -> Result<(), String> {
     let _ = wire::decode_header(bytes);
-    if let Ok(req) = wire::decode_complete_request(bytes) {
-        fill(&req)?;
-    }
     if let Ok((_, req)) = wire::decode_tcomplete_request(bytes) {
         fill(&req)?;
     }
     let _ = wire::decode_tstats_request(bytes);
-    let _ = wire::decode_complete_ok(bytes);
     let _ = wire::decode_tcomplete_ok(bytes);
     let _ = wire::decode_err(bytes);
-    let _ = wire::decode_stats(bytes);
     let _ = wire::decode_tstats(bytes);
     Ok(())
 }
@@ -96,6 +140,93 @@ fn near_valid(lead: &[u64], rows: u32, cols: u32, entries: &[u64], tweak: usize)
     out
 }
 
+/// A snapshot holding `values` in table order.
+fn snapshot(values: &[u64]) -> StatsSnapshot {
+    let mut s = StatsSnapshot::default();
+    for (&(_, field), &v) in StatsSnapshot::FIELDS.iter().zip(values) {
+        *field(&mut s) = v;
+    }
+    s
+}
+
+/// Ways to break a named-stats payload (see [`broken_stats`]).
+const STATS_BREAKS: usize = 10;
+
+/// The tenant's named-stats payload for `s` broken in way `case` (at
+/// counter `victim` where a case picks one), and the answer a decoder
+/// owes it: the snapshot when the payload is still well formed, else
+/// the typed error.
+fn broken_stats(
+    s: &StatsSnapshot,
+    victim: usize,
+    case: usize,
+) -> (Vec<u8>, Result<StatsSnapshot, WireError>) {
+    let mut frame = Vec::new();
+    wire::encode_tstats(&mut frame, 1, 7, s);
+    let mut payload = frame.split_off(HEADER_LEN);
+    // Byte offset of each counter's length byte.
+    let mut starts = Vec::new();
+    let mut at = 10;
+    for &(name, _) in StatsSnapshot::FIELDS {
+        starts.push(at);
+        at += 1 + name.len() + 8;
+    }
+    let n = starts.len() as u16;
+    let (victim_at, victim_len) = (starts[victim], StatsSnapshot::FIELDS[victim].0.len());
+    let truncated = |what| Err(WireError::Truncated { what });
+    let malformed = |what| Err(WireError::Malformed { what });
+    let mut count = |c: u16| payload[8..10].copy_from_slice(&c.to_le_bytes());
+    let want = match case {
+        // The declared count: none, one, all of them, the type's most.
+        0 | 1 => {
+            count(case as u16);
+            malformed("bytes after the last stats counter")
+        }
+        2 => {
+            count(n);
+            Ok(*s)
+        }
+        3 => {
+            count(u16::MAX);
+            truncated("stats counter")
+        }
+        // A name of length 0.
+        4 => {
+            payload[victim_at] = 0;
+            malformed("stats counter name")
+        }
+        // A name of length 255 that no build knows: skipped.
+        5 => {
+            let long = [255].into_iter().chain([b'x'; 255]);
+            payload.splice(victim_at..victim_at + 1 + victim_len, long);
+            let mut kept = *s;
+            *StatsSnapshot::FIELDS[victim].1(&mut kept) = 0;
+            Ok(kept)
+        }
+        // The last name's length runs past the end.
+        6 => {
+            payload[*starts.last().expect("a counter")] = 255;
+            truncated("stats counter")
+        }
+        // A name byte UTF-8 never uses.
+        7 => {
+            payload[victim_at + 1] = 0xff;
+            malformed("stats counter name")
+        }
+        // The last value one byte short.
+        8 => {
+            payload.pop();
+            truncated("stats counter")
+        }
+        // One byte after the last counter.
+        _ => {
+            payload.push(0);
+            malformed("bytes after the last stats counter")
+        }
+    };
+    (payload, want)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4096))]
 
@@ -117,12 +248,22 @@ proptest! {
     }
 
     #[test]
-    fn word_aligned_payloads_never_panic_a_decoder(
-        words in collection::vec(0u64..u64::MAX, 18..26),
+    fn near_valid_stats_payloads_get_typed_answers(
+        values in collection::vec(0u64..u64::MAX, StatsSnapshot::FIELDS.len()),
+        victim in 0usize..StatsSnapshot::FIELDS.len(),
+        case in 0usize..STATS_BREAKS,
     ) {
-        // Covers the exact lengths of the stats (20 words) and tstats
-        // (23 words) responses, and their neighbours.
-        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-        check(&bytes)?;
+        let s = snapshot(&values);
+        let (payload, want) = broken_stats(&s, victim, case);
+        check(&payload)?;
+        let (got, largest) = largest_alloc(|| wire::decode_tstats(&payload));
+        prop_assert_eq!(got, want.map(|s| (7, s)), "case {}", case);
+        prop_assert!(
+            largest <= payload.len(),
+            "decoding {} bytes allocated {} at once (case {})",
+            payload.len(),
+            largest,
+            case
+        );
     }
 }

@@ -7,9 +7,7 @@
 //! ```
 
 use gcwc::{build_samples, AGcwcModel, CompletionModel, ModelConfig, TaskKind};
-use gcwc_serve::{
-    AnyModel, BinClient, Engine, EngineConfig, ModelRegistry, Server, ServerConfig, TcpClient,
-};
+use gcwc_serve::{AnyModel, BinClient, Engine, EngineConfig, ModelRegistry, Server, TenantId};
 use gcwc_traffic::{generators, simulate, HistogramSpec, SimConfig};
 use std::sync::Arc;
 
@@ -54,20 +52,16 @@ fn main() {
     let generation = registry.load(&ckpt).expect("load checkpoint");
     println!("registry loaded generation {generation}");
 
+    // The server hosts the engine as tenant 0; every request names it.
     let engine = Arc::new(Engine::new(registry, EngineConfig::default()));
-    let mut server = Server::start_with(
-        Arc::clone(&engine),
-        "127.0.0.1:0",
-        ServerConfig { text_port: Some(0), ..Default::default() },
-    )
-    .expect("bind server");
-    println!("serving binary on {}", server.addr());
-    println!("serving text debug on {}", server.text_addr().expect("text port"));
+    let mut server = Server::start(Arc::clone(&engine), "127.0.0.1:0").expect("bind server");
+    let tenant = TenantId::DEFAULT.0;
+    println!("serving tenant {tenant} on {}", server.addr());
 
     // 4. Query over TCP: ask for the completed weight matrix of a
     //    held-out evening-peak snapshot (17:30 on day 0). The observed
-    //    matrix travels as raw f64 bit patterns on the binary port, so
-    //    the response is bit-identical to an in-process forward pass.
+    //    matrix travels as raw f64 bit patterns, so the response is
+    //    bit-identical to an in-process forward pass.
     let test_idx = vec![(0..dataset.len())
         .rev()
         .find(|&i| dataset.snapshots[i].context.time_of_day == 70)
@@ -77,8 +71,9 @@ fn main() {
 
     let mut client = BinClient::connect(server.addr()).expect("connect");
     let response = client
-        .complete(&sample.input, sample.context.time_of_day, sample.context.day_of_week)
-        .expect("complete");
+        .tcomplete(tenant, &sample.input, sample.context.time_of_day, sample.context.day_of_week)
+        .expect("complete")
+        .body;
     println!(
         "\ncompleted {}x{} matrix (cache hit: {}, generation {})",
         response.output.rows(),
@@ -89,9 +84,9 @@ fn main() {
 
     // The same request again is answered from the completion cache.
     let again = client
-        .complete(&sample.input, sample.context.time_of_day, sample.context.day_of_week)
+        .tcomplete(tenant, &sample.input, sample.context.time_of_day, sample.context.day_of_week)
         .expect("complete (cached)");
-    println!("repeat request cache hit: {}", again.cache_hit);
+    println!("repeat request cache hit: {}", again.body.cache_hit);
 
     // 5. Inspect an edge that had no traffic data in this interval: the
     //    served row is its completed speed histogram.
@@ -109,14 +104,12 @@ fn main() {
         )
     );
 
-    println!("\nserver stats: {:?}", client.stats().expect("stats"));
+    // 6. The server's counters, read over the wire by name.
+    println!("\nserver stats:");
+    for (name, value) in client.tstats(tenant).expect("stats").named() {
+        println!("  {name:<22} {value}");
+    }
     client.quit().expect("quit");
-
-    // 6. The text debug port serves the same engine with the
-    //    newline-delimited protocol — handy with netcat.
-    let mut debug = TcpClient::connect(server.text_addr().expect("text port")).expect("connect");
-    println!("text debug ping: {}", debug.ping().expect("ping"));
-    debug.quit().expect("quit");
 
     server.stop();
     engine.shutdown();
