@@ -2,14 +2,19 @@
 //! week, coverage signature)` with LRU eviction.
 //!
 //! Two requests against the same model generation with the same
-//! context and the **same observed input** (compared bit-for-bit via
-//! an FNV-1a hash over the `f64` bit patterns) produce the same
+//! context and the **same observed input** produce the same
 //! completion, so the second can be served straight from the cache.
-//! The generation component makes every entry computed by a previous
-//! model unreachable after a hot-swap — stale completions age out of
-//! the LRU instead of being served as hits. Entries live in a preallocated slab linked
-//! into an intrusive LRU list; eviction reuses the victim's matrix
-//! buffer, so a warm cache performs no allocation on insert.
+//! The input enters the key as its 64-bit [`input_signature`], not as
+//! its bits: inputs with equal signatures share one entry. The
+//! signature reads every bit of every entry and the shape, and a
+//! change confined to one entry always changes it; two inputs that
+//! differ in more than one entry collide with probability about
+//! 2⁻⁶⁴. The generation component makes every entry computed by a
+//! previous model unreachable after a hot-swap — stale completions
+//! age out of the LRU instead of being served as hits. Entries live
+//! in a preallocated slab linked into an intrusive LRU list; eviction
+//! reuses the victim's matrix buffer, so a warm cache performs no
+//! allocation on insert.
 
 use gcwc_linalg::Matrix;
 use std::collections::HashMap;
@@ -23,14 +28,15 @@ pub struct CacheKey {
     pub time_of_day: usize,
     /// Day-of-week index.
     pub day_of_week: usize,
-    /// FNV-1a hash over the input matrix's shape and `f64` bits.
+    /// The input's [`input_signature`]: inputs with equal signatures
+    /// share one entry.
     pub signature: u64,
 }
 
 impl CacheKey {
     /// Builds the key for a request: the serving model generation,
-    /// context indices, and the exact bit-level signature of the
-    /// observed input matrix.
+    /// context indices, and the [`input_signature`] of the observed
+    /// input matrix.
     pub fn for_input(
         generation: u64,
         time_of_day: usize,
@@ -41,23 +47,55 @@ impl CacheKey {
     }
 }
 
-/// FNV-1a over the matrix shape and the bit patterns of its entries.
+/// Multiplier of the lane and combine steps (odd, so each step is a
+/// bijection of its state and of the word folded in).
+const LANE_PRIME: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Starting state of each of the four lanes (hex digits of π). They
+/// differ, so the lanes are not interchangeable.
+const LANE_SEEDS: [u64; 4] =
+    [0x243f_6a88_85a3_08d3, 0x1319_8a2e_0370_7344, 0xa409_3822_299f_31d0, 0x082e_fa98_ec4e_6c89];
+
+/// Folds one word into a lane: xor, multiply, rotate. The rotation
+/// brings the product's well-mixed high bits down, where the next
+/// multiply spreads them upward again.
+fn fold(lane: u64, word: u64) -> u64 {
+    (lane ^ word).wrapping_mul(LANE_PRIME).rotate_left(29)
+}
+
+/// 64-bit signature of the input matrix: its shape and the bit pattern
+/// of every entry (`+0.0` and `−0.0` differ, as do the same entries
+/// under another shape). Deterministic across runs and processes.
+///
+/// Entry `i`'s `to_bits` folds into lane `i mod 4`, so the four lanes
+/// run as independent dependency chains (about n·m/4 multiplies deep
+/// rather than one per entry). The lanes and then the shape fold into
+/// one word in a fixed order and a final avalanche spreads every input
+/// bit over the result. Each step is a bijection of what it folds in,
+/// so a change confined to one entry always changes the signature;
+/// inputs that differ in more than one entry collide with probability
+/// about 2⁻⁶⁴.
 pub fn input_signature(input: &Matrix) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut mix = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
+    let data = input.as_slice();
+    let mut lanes = LANE_SEEDS;
+    let mut quads = data.chunks_exact(4);
+    for quad in &mut quads {
+        for (lane, &v) in lanes.iter_mut().zip(quad) {
+            *lane = fold(*lane, v.to_bits());
         }
-    };
-    mix(input.rows() as u64);
-    mix(input.cols() as u64);
-    for &v in input.as_slice() {
-        mix(v.to_bits());
     }
-    h
+    for (lane, &v) in lanes.iter_mut().zip(quads.remainder()) {
+        *lane = fold(*lane, v.to_bits());
+    }
+    let mut h = lanes.iter().fold(0, |h, &lane| fold(h, lane));
+    h = fold(h, input.rows() as u64);
+    h = fold(h, input.cols() as u64);
+    // Avalanche (MurmurHash3's 64-bit finaliser, a bijection).
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
 }
 
 const NIL: usize = usize::MAX;
@@ -228,6 +266,7 @@ fn copy_rows_into(dst: &mut Matrix, src: &Matrix, rows: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn mat(seed: f64) -> Matrix {
         Matrix::from_vec(2, 2, vec![seed, seed + 1.0, seed + 2.0, seed + 3.0])
@@ -266,13 +305,118 @@ mod tests {
         assert_eq!(c.len(), 0);
     }
 
+    /// The CI city's request shape: 172 edges × HIST-8.
+    const CI: (usize, usize) = (172, 8);
+
+    /// A CI-shaped observed input drawn from `seed` (SplitMix64): each
+    /// row is observed with probability ½ and then holds a random
+    /// histogram; unobserved rows are zero, as in served traffic.
+    fn ci_input(seed: u64) -> Matrix {
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut m = Matrix::zeros(CI.0, CI.1);
+        for r in 0..CI.0 {
+            if next() & 1 == 0 {
+                continue;
+            }
+            let row = m.row_mut(r);
+            for v in row.iter_mut() {
+                *v = (next() >> 11) as f64 / (1u64 << 53) as f64;
+            }
+            let total: f64 = row.iter().sum();
+            row.iter_mut().for_each(|v| *v /= total);
+        }
+        m
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn signature_is_bit_sensitive(
+            seed in 0u64..u64::MAX,
+            entry in 0usize..CI.0 * CI.1,
+            other in 0usize..CI.0 * CI.1,
+            bit in 0u32..64,
+        ) {
+            let a = ci_input(seed);
+            let sig = input_signature(&a);
+            prop_assert_eq!(sig, input_signature(&a.clone()), "same input, other signature");
+
+            // Any single bit of any entry.
+            let mut b = a.clone();
+            let v = &mut b.as_mut_slice()[entry];
+            *v = f64::from_bits(v.to_bits() ^ (1 << bit));
+            prop_assert!(input_signature(&b) != sig, "flipping bit {} of entry {}", bit, entry);
+
+            // +0.0 and −0.0.
+            let mut b = a.clone();
+            b.as_mut_slice()[entry] = 0.0;
+            let mut c = b.clone();
+            c.as_mut_slice()[entry] = -0.0;
+            prop_assert!(input_signature(&b) != input_signature(&c), "±0.0 at entry {}", entry);
+
+            // Two unequal entries swapped.
+            let (x, y) = (a.as_slice()[entry], a.as_slice()[other]);
+            if x.to_bits() != y.to_bits() {
+                let mut b = a.clone();
+                b.as_mut_slice().swap(entry, other);
+                prop_assert!(input_signature(&b) != sig, "swapping entries {} and {}", entry, other);
+            }
+
+            // Two lanes trade their whole sequences: entry i folds into
+            // lane i mod 4, so with 8 columns lane p holds columns p and
+            // p + 4 of every row.
+            let (p, q) = (entry % 4, other % 4);
+            let mut b = a.clone();
+            for r in 0..CI.0 {
+                b.row_mut(r).swap(p, q);
+                b.row_mut(r).swap(p + 4, q + 4);
+            }
+            if bits(&b) != bits(&a) {
+                prop_assert!(input_signature(&b) != sig, "lanes {} and {} traded", p, q);
+            }
+
+            // A zero row moved: the observed rows trade places with it.
+            let (zero, seen) = (entry / CI.1, other / CI.1);
+            if a.row_is_zero(zero) && !a.row_is_zero(seen) {
+                let mut b = a.clone();
+                b.row_mut(zero).copy_from_slice(a.row(seen));
+                b.row_mut(seen).fill(0.0);
+                prop_assert!(input_signature(&b) != sig, "moving zero row {} to {}", zero, seen);
+            }
+
+            // The same data under the transposed shape.
+            let t = Matrix::from_vec(CI.1, CI.0, a.as_slice().to_vec());
+            prop_assert!(input_signature(&t) != sig, "transposed shape");
+        }
+    }
+
     #[test]
-    fn signature_is_bit_sensitive() {
-        let a = mat(1.0);
-        let mut b = mat(1.0);
-        assert_eq!(input_signature(&a), input_signature(&b));
-        b.as_mut_slice()[3] += 1e-12;
+    fn random_ci_inputs_have_distinct_signatures() {
+        let mut seen = std::collections::HashSet::new();
+        for seed in 0..10_000u64 {
+            assert!(seen.insert(input_signature(&ci_input(seed))), "collision at seed {seed}");
+        }
+    }
+
+    #[test]
+    fn signature_covers_a_partial_last_quad() {
+        // 3 × 3 leaves one entry past the last whole quad of lanes.
+        let a = Matrix::from_vec(3, 3, (0..9).map(f64::from).collect());
+        let mut b = a.clone();
+        b.as_mut_slice()[8] = -8.0;
         assert_ne!(input_signature(&a), input_signature(&b));
+        assert_ne!(input_signature(&Matrix::zeros(0, 0)), input_signature(&Matrix::zeros(0, 1)));
     }
 
     #[test]

@@ -23,6 +23,7 @@ use crate::cache::{input_signature, CacheKey, CompletionCache};
 use crate::health::{Admission, BreakerConfig, ShardHealth};
 use crate::queue::{BoundedQueue, PushError};
 use crate::registry::ModelRegistry;
+use crate::server::Reply;
 use crate::{derive_row_flags, failsite, ServeError};
 use gcwc::{InferRequest, InferWorkspace, OutputKind};
 use gcwc_linalg::Matrix;
@@ -177,28 +178,19 @@ impl ResponseSlot {
     }
 }
 
-/// Callback invoked with a request's result. Used by the TCP reactor:
-/// the hook enqueues the finished completion and wakes the event loop
-/// (an `eventfd`), instead of a client thread blocking on a slot.
-pub type CompletionHook = Box<dyn FnOnce(Result<Completion, ServeError>) + Send + 'static>;
-
 /// Where a finished job delivers its result: a rendezvous slot a
-/// caller thread waits on (the in-process [`Client`] path, allocation
-/// free) or a one-shot hook (the reactor path).
+/// caller thread waits on (the in-process [`Client`] path) or the TCP
+/// reactor's completion queue (the wire path). Neither allocates.
 enum Responder {
     Slot(Arc<ResponseSlot>),
-    Hook(Option<CompletionHook>),
+    Reactor(Reply),
 }
 
 impl Responder {
-    fn deliver(&mut self, result: Result<Completion, ServeError>) {
+    fn deliver(&self, result: Result<Completion, ServeError>) {
         match self {
             Responder::Slot(slot) => slot.fulfill(result),
-            Responder::Hook(hook) => {
-                if let Some(hook) = hook.take() {
-                    hook(result);
-                }
-            }
+            Responder::Reactor(reply) => reply.send(result),
         }
     }
 }
@@ -237,7 +229,7 @@ impl Drop for Job {
 
 /// A refused [`Engine::submit`]: the typed error plus the request's
 /// buffers, handed back so the reactor can reuse them.
-pub struct SubmitError {
+pub(crate) struct SubmitError {
     /// Why the submission was refused.
     pub error: ServeError,
     /// The caller's input buffer, returned for reuse.
@@ -833,36 +825,32 @@ impl Engine {
         (s.num_edges(), s.output_cols())
     }
 
-    /// Enqueues a request whose result is delivered through `hook`
-    /// instead of a blocking receive — the submission path of the TCP
-    /// reactor, which must never park a thread per request. The hook
-    /// runs on the worker thread that finishes the job (or, for a
-    /// killed worker, inside the Drop guard), so it should only hand
-    /// the result off — the reactor's hook pushes onto a completion
-    /// queue and wakes its `eventfd`.
+    /// Enqueues a request whose result goes to the reactor's
+    /// completion queue through `reply` instead of a blocking receive
+    /// — the submission path of the TCP reactor, which must never park
+    /// a thread per request. The worker that finishes the job (or, for
+    /// a killed worker, the job's Drop guard) pushes the result and
+    /// wakes the reactor's `eventfd`.
     ///
     /// Backpressure is synchronous: a full queue returns the buffers
-    /// inside [`SubmitError`] *without* invoking the hook, so the
-    /// caller can answer `Overloaded` inline and reuse the matrices.
-    pub fn submit(
+    /// inside [`SubmitError`] *without* sending a reply, so the caller
+    /// can answer `Overloaded` inline and reuse the matrices.
+    pub(crate) fn submit(
         &self,
         input: Matrix,
         out_buf: Matrix,
         time_of_day: usize,
         day_of_week: usize,
-        deadline: Option<Instant>,
-        hook: CompletionHook,
+        reply: Reply,
     ) -> Result<(), SubmitError> {
-        let deadline =
-            deadline.or_else(|| self.inner.cfg.default_deadline.map(|d| Instant::now() + d));
         let job = Job {
             input,
             out_buf,
             time_of_day,
             day_of_week,
-            deadline,
+            deadline: self.inner.cfg.default_deadline.map(|d| Instant::now() + d),
             degraded: false,
-            responder: Responder::Hook(Some(hook)),
+            responder: Responder::Reactor(reply),
             answered: false,
         };
         let reclaim = |mut job: Job, error: ServeError| {

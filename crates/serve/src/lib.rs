@@ -50,8 +50,7 @@ pub mod wire;
 
 pub use cache::{CacheKey, CompletionCache};
 pub use engine::{
-    Client, Completion, CompletionHook, Engine, EngineConfig, IngestStats, RetryPolicy,
-    StatsSnapshot, SubmitError,
+    Client, Completion, Engine, EngineConfig, IngestStats, RetryPolicy, StatsSnapshot,
 };
 pub use health::{Admission, BreakerConfig, ShardHealth};
 pub use queue::BoundedQueue;

@@ -91,6 +91,14 @@ impl AnyModel {
     /// Tape-free batched inference (see `gcwc::infer`): `count`
     /// requests as one coalesced forward pass, bit-identical per
     /// request to single-request evaluation.
+    ///
+    /// The kernels run on the calling thread, whatever its ambient
+    /// kernel thread count: at serving sizes (each shard's FC decoder
+    /// product is 1.6–1.9 × 10⁵ multiply-adds per request on the CI
+    /// city at K = 2) a scoped kernel-thread spawn and join costs more
+    /// than the split saves (see `gcwc_linalg::parallel::MIN_PARALLEL_WORK`),
+    /// and every spawn allocates. Concurrency comes from the engine's
+    /// workers instead. The bits are the same at every thread count.
     pub fn infer_into<'r, F>(
         &self,
         ws: &mut InferWorkspace,
@@ -100,10 +108,10 @@ impl AnyModel {
     ) where
         F: Fn(usize) -> InferRequest<'r>,
     {
-        match self {
+        gcwc_linalg::parallel::with_threads(1, || match self {
             AnyModel::Gcwc(m) => m.infer_into(ws, count, req, outs),
             AnyModel::AGcwc(m) => m.infer_into(ws, count, req, outs),
-        }
+        })
     }
 }
 

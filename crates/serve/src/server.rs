@@ -9,9 +9,14 @@
 //! per connection, responses completing out of order as the batched
 //! engine finishes them.
 //!
-//! Requests are submitted through [`crate::Engine::submit`]: the
-//! completion hook pushes the finished result onto a queue and wakes
-//! the reactor's `eventfd`, so no thread ever blocks on a response.
+//! Each request is submitted to its tenant's engine with a reply
+//! address: an `Arc` of the reactor's shared state plus a `Copy`
+//! ticket naming the connection slot, its incarnation, the request id
+//! and the tenant. The worker that finishes the request pushes the
+//! result onto the shared completion queue and wakes the reactor's
+//! `eventfd`, so no thread ever blocks on a response; the reactor
+//! empties the queue by swapping it with a spare it keeps, so a warm
+//! server allocates nothing per request on either side.
 //! Connection state machines buffer partial frames across reads
 //! (frames may arrive one byte at a time) and partial responses
 //! across writes; per-connection buffers are hard-capped and in-flight
@@ -28,7 +33,7 @@
 //! the single-tenant path: it registers its engine as
 //! [`TenantId::DEFAULT`] (id 0).
 
-use crate::engine::{Completion, CompletionHook, Engine, StatsSnapshot};
+use crate::engine::{Completion, Engine, StatsSnapshot};
 use crate::protocol::TokResponse;
 use crate::sys::{Poller, Waker};
 use crate::tenant::{Tenant, TenantId, TenantRegistry};
@@ -79,20 +84,48 @@ impl Default for ServerConfig {
     }
 }
 
-/// A finished request travelling from an engine worker back to the
-/// reactor.
-struct Done {
+/// Where a reactor-submitted request is answered.
+#[derive(Clone, Copy)]
+struct Ticket {
+    /// Connection slot the request was read on.
     token: usize,
+    /// The slot's incarnation at submit time (see [`Slot`]).
     gen: u64,
     request_id: u64,
     /// Index into the reactor's tenant table (owns the buffer pools
     /// the completion's matrices return to).
     tenant: usize,
+}
+
+/// A finished request travelling from an engine worker back to the
+/// reactor.
+struct Done {
+    ticket: Ticket,
     result: Result<Completion, ServeError>,
 }
 
+/// The reply address of a reactor-submitted request, carried by its
+/// engine job. Cloning the `Arc` and copying the ticket allocate
+/// nothing.
+pub(crate) struct Reply {
+    shared: Arc<Shared>,
+    ticket: Ticket,
+}
+
+impl Reply {
+    /// Queues the result for the reactor and wakes its event loop.
+    /// Runs on the engine worker that finished the job (or in the Drop
+    /// guard of a job its dying worker abandoned).
+    pub(crate) fn send(&self, result: Result<Completion, ServeError>) {
+        let mut done = self.shared.done.lock().unwrap_or_else(PoisonError::into_inner);
+        done.push(Done { ticket: self.ticket, result });
+        drop(done);
+        self.shared.waker.wake();
+    }
+}
+
 /// State shared between the reactor thread, engine workers (through
-/// completion hooks), and the [`Server`] handle.
+/// [`Reply`]s), and the [`Server`] handle.
 struct Shared {
     running: AtomicBool,
     done: Mutex<Vec<Done>>,
@@ -163,6 +196,7 @@ impl Server {
             tenants: states,
             by_id,
             scratch: vec![0u8; 64 << 10],
+            done_spare: Vec::new(),
         };
         let handle = std::thread::Builder::new()
             .name("gcwc-serve-reactor".into())
@@ -298,24 +332,9 @@ struct Reactor {
     /// Tenant id → index into `tenants`.
     by_id: HashMap<u64, usize>,
     scratch: Vec<u8>,
-}
-
-/// Builds the hook an engine worker runs when a reactor-submitted
-/// request finishes: enqueue the result, wake the event loop.
-fn completion_hook(
-    shared: &Arc<Shared>,
-    token: usize,
-    gen: u64,
-    request_id: u64,
-    tenant: usize,
-) -> CompletionHook {
-    let shared = Arc::clone(shared);
-    Box::new(move |result| {
-        let mut done = shared.done.lock().unwrap_or_else(PoisonError::into_inner);
-        done.push(Done { token, gen, request_id, tenant, result });
-        drop(done);
-        shared.waker.wake();
-    })
+    /// Swapped with `Shared::done` on each drain, so both keep their
+    /// capacity and a warm push never reallocates.
+    done_spare: Vec<Done>,
 }
 
 /// Submission tail of a `tcomplete` request: pooled buffers, input
@@ -350,14 +369,16 @@ fn submit_decoded(
                 .spare_outputs
                 .pop()
                 .unwrap_or_else(|| Matrix::zeros(state.out_shape.0, state.out_shape.1));
-            let hook = completion_hook(shared, idx, gen, request_id, state_idx);
+            let reply = Reply {
+                shared: Arc::clone(shared),
+                ticket: Ticket { token: idx, gen, request_id, tenant: state_idx },
+            };
             match state.tenant.engine().submit(
                 input,
                 out_buf,
                 req.time_of_day,
                 req.day_of_week,
-                None,
-                hook,
+                reply,
             ) {
                 Ok(()) => *in_flight += 1,
                 Err(refused) => {
@@ -407,8 +428,9 @@ impl Reactor {
             }
         }
         // Teardown: close every connection (peers see EOF). In-flight
-        // completions still fire their hooks; `drain_done` never runs
-        // again, but the results are only dropped, never leaked.
+        // requests are still answered onto the queue; `drain_done`
+        // never runs again, but the results are only dropped, never
+        // leaked.
         for idx in 0..self.slots.len() {
             if self.slots[idx].conn.is_some() {
                 self.close_conn(idx);
@@ -629,38 +651,41 @@ impl Reactor {
 
     /// Delivers finished engine requests back onto their connections.
     fn drain_done(&mut self) {
-        let done = {
-            let mut g = self.shared.done.lock().unwrap_or_else(PoisonError::into_inner);
-            std::mem::take(&mut *g)
-        };
-        for d in done {
+        let mut done = std::mem::take(&mut self.done_spare);
+        std::mem::swap(
+            &mut *self.shared.done.lock().unwrap_or_else(PoisonError::into_inner),
+            &mut done,
+        );
+        for d in done.drain(..) {
             self.finish(d);
         }
+        self.done_spare = done;
     }
 
-    fn finish(&mut self, d: Done) {
-        let alive = self.slots.get(d.token).is_some_and(|s| s.gen == d.gen && s.conn.is_some());
-        let state = &mut self.tenants[d.tenant];
+    fn finish(&mut self, Done { ticket, result }: Done) {
+        let alive =
+            self.slots.get(ticket.token).is_some_and(|s| s.gen == ticket.gen && s.conn.is_some());
+        let state = &mut self.tenants[ticket.tenant];
         if !alive {
             // The connection closed while the request was in flight:
             // keep the buffers, drop the result.
-            if let Ok(c) = d.result {
+            if let Ok(c) = result {
                 recycle(&mut state.spare_inputs, c.input, state.in_shape);
                 recycle(&mut state.spare_outputs, c.output, state.out_shape);
             }
             return;
         }
-        let idx = d.token;
+        let idx = ticket.token;
         let conn = self.slots[idx].conn.as_mut().expect("checked alive");
         conn.in_flight -= 1;
-        match d.result {
+        match result {
             Ok(c) => {
                 // The graph generation is observed at encode time: a
                 // delta applied while the request was in flight is
                 // visible on its response.
                 wire::encode_tcomplete_ok(
                     &mut conn.wbuf,
-                    d.request_id,
+                    ticket.request_id,
                     state.tenant.id().0,
                     state.tenant.graph_generation(),
                     &c.output,
@@ -672,7 +697,7 @@ impl Reactor {
                 recycle(&mut state.spare_inputs, c.input, state.in_shape);
                 recycle(&mut state.spare_outputs, c.output, state.out_shape);
             }
-            Err(e) => wire::encode_err(&mut conn.wbuf, d.request_id, &e),
+            Err(e) => wire::encode_err(&mut conn.wbuf, ticket.request_id, &e),
         }
         // A response freed pipeline room: resume reading if gated,
         // and parse any requests already buffered while waiting.
