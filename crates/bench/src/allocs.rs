@@ -1,23 +1,24 @@
 //! Heap-allocation accounting for the zero-allocation hot-path checks.
 //!
 //! [`CountingAlloc`] wraps the system allocator and counts every
-//! allocation (`alloc`, `alloc_zeroed`, `realloc`) and deallocation.
-//! The module is always compiled; the allocator only becomes active in
-//! a binary that installs it:
+//! allocation (`alloc`, `alloc_zeroed`, `realloc`). The module is
+//! always compiled; the allocator only becomes active in a binary that
+//! installs it:
 //!
 //! ```ignore
 //! #[global_allocator]
 //! static ALLOC: gcwc_bench::allocs::CountingAlloc = gcwc_bench::allocs::CountingAlloc;
 //! ```
 //!
-//! The `alloc_regression` integration test installs it unconditionally
-//! to pin the steady-state training step at zero allocations; the
-//! `exp_runner` binary installs it behind the `count-allocs` feature so
-//! `bench --json` can report allocs/iter without taxing normal runs.
+//! The allocation gates (`alloc_regression`, `serve_alloc`,
+//! `wire_alloc`, `ingest_alloc`, `scale_smoke`) install it
+//! unconditionally; the `exp_runner` binary installs it behind the
+//! `count-allocs` feature so `scale-sweep` and `tenant-bench` can
+//! report allocation counts without taxing normal runs.
 //!
-//! Two views of the same events: the process-wide totals
-//! ([`alloc_count`] and friends) include every thread, which is what a
-//! bench reading a server's worker and reactor threads wants;
+//! Two views of the same events: the process-wide total
+//! ([`alloc_count`]) includes every thread, which is what a bench
+//! reading a server's worker and reactor threads wants;
 //! [`count_allocs`] reads a per-thread counter, so a gate measuring
 //! work on its own thread is not inflated by sibling test threads.
 
@@ -26,19 +27,16 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static DEALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// A system allocator that counts every heap operation.
+/// A system allocator that counts every allocation.
 pub struct CountingAlloc;
 
-fn count_alloc(bytes: usize) {
+fn count_alloc() {
     ALLOCS.fetch_add(1, Ordering::Relaxed);
-    BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
     // `try_with` fails only while the thread's locals are torn down;
     // those last allocations stay in the process-wide totals only.
     let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
@@ -49,26 +47,25 @@ fn count_alloc(bytes: usize) {
 // thread local is const-initialised, so touching it never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_alloc(layout.size());
+        count_alloc();
         // SAFETY: the caller's `layout` contract passes through.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_alloc(layout.size());
+        count_alloc();
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_alloc(new_size);
+        count_alloc();
         // SAFETY: `ptr` and `layout` come from this allocator, which is
         // `System` underneath.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        DEALLOCS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: as for `realloc`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -78,16 +75,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// [`CountingAlloc`] is not the process's global allocator).
 pub fn alloc_count() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
-}
-
-/// Total deallocations performed so far.
-pub fn dealloc_count() -> u64 {
-    DEALLOCS.load(Ordering::Relaxed)
-}
-
-/// Total bytes requested so far.
-pub fn allocated_bytes() -> u64 {
-    BYTES.load(Ordering::Relaxed)
 }
 
 /// Runs `f` and returns its result together with the number of heap

@@ -13,14 +13,6 @@
 //!   threads            serial-vs-parallel training throughput sweep
 //!   ablations          design-choice ablations (Chebyshev order, pooling,
 //!                      context subsets, HIST-4/8, LSM missing handling)
-//!   bench              kernel + training-step micro-benchmarks
-//!                      (legacy vs fused in-place pairs); with `--json`,
-//!                      also writes `BENCH_bench.json`
-//!   serve-bench        end-to-end serving load test (in-process,
-//!                      binary TCP sequential + pipelined, and a
-//!                      connection-scaling sweep with up to 10k idle
-//!                      connections; cache stats, p50/p99); with
-//!                      `--json`, also writes `BENCH_serve.json`
 //!   shard-sweep        partitioned completion over the synthetic city,
 //!                      K ∈ {1,2,4} (or just `--shards=K`): training
 //!                      throughput + accuracy delta vs the unsharded
@@ -33,13 +25,6 @@
 //!                      naive-vs-tiled kernel pair at n=860; `--smoke`
 //!                      downsamples to the ×10 point; with `--json`,
 //!                      also writes `BENCH_scale.json`
-//!   ingest-bench       streaming-ingestion benchmark: intake
-//!                      throughput (durable log + window fold),
-//!                      slot-seal latency, warm-start refresh wall
-//!                      time, and allocs/record on the steady-state
-//!                      intake path (0 mid-slot; live under
-//!                      `--features count-allocs`); with `--json`,
-//!                      also writes `BENCH_ingest.json`
 //!   tenant-bench       multi-tenant serving benchmark: a victim
 //!                      tenant's p50/p99 solo vs under a quota-capped
 //!                      noisy neighbor (responses asserted
@@ -63,14 +48,19 @@
 //! experiment (results are bit-identical for any value; only wall-clock
 //! time changes). Run with `cargo run --release -p gcwc-bench --bin
 //! exp_runner -- <command>`.
+//!
+//! Serving, training-step and live-loop throughput and latency are
+//! measured by the `perfbench` package that `BENCHMARK.json` declares,
+//! not by this runner.
 
 use gcwc_bench::{
-    ablations, ingestbench, jsonbench, params_table, resumable, run_table, scalability, scalesweep,
-    servebench, shardsweep, tenantbench, Profile, ScalModel,
+    ablations, params_table, resumable, run_table, scalability, scalesweep, shardsweep,
+    tenantbench, Profile, ScalModel,
 };
 
-/// Counts every heap allocation so `bench` can report allocs/iter.
-/// Build with `--features count-allocs` to activate.
+/// Counts every heap allocation so `scale-sweep` and `tenant-bench`
+/// can report allocation counts. Build with `--features count-allocs`
+/// to activate.
 #[cfg(feature = "count-allocs")]
 #[global_allocator]
 static ALLOC: gcwc_bench::allocs::CountingAlloc = gcwc_bench::allocs::CountingAlloc;
@@ -134,7 +124,7 @@ fn main() {
     // follow the process-wide kernel default.
     gcwc_linalg::parallel::set_global_threads(threads);
     if commands.is_empty() {
-        eprintln!("usage: exp_runner [--fast|--full|--smoke] [--threads=N] [--shards=K] [--epochs=N] [--state=DIR] [--resume] [--json] <table3|table4..table13|tables|fig6a|fig6b|threads|ablations|bench|serve-bench|shard-sweep|scale-sweep|ingest-bench|tenant-bench|train|all>");
+        eprintln!("usage: exp_runner [--fast|--full|--smoke] [--threads=N] [--shards=K] [--epochs=N] [--state=DIR] [--resume] [--json] <table3|table4..table13|tables|fig6a|fig6b|threads|ablations|shard-sweep|scale-sweep|tenant-bench|train|all>");
         std::process::exit(2);
     }
 
@@ -155,30 +145,6 @@ fn main() {
             "threads" => run_thread_sweep(&profile),
             "ablations" => {
                 println!("{}", ablations::render(&ablations::run_all(&profile)));
-            }
-            "bench" => {
-                let records = jsonbench::run_all();
-                print!("{}", jsonbench::render(&records));
-                if json {
-                    let path = "BENCH_bench.json";
-                    if let Err(e) = std::fs::write(path, jsonbench::to_json(&records)) {
-                        eprintln!("failed to write {path}: {e}");
-                        std::process::exit(1);
-                    }
-                    println!("wrote {path}");
-                }
-            }
-            "serve-bench" => {
-                let report = servebench::run();
-                print!("{}", servebench::render(&report));
-                if json {
-                    let path = "BENCH_serve.json";
-                    if let Err(e) = std::fs::write(path, servebench::to_json(&report)) {
-                        eprintln!("failed to write {path}: {e}");
-                        std::process::exit(1);
-                    }
-                    println!("wrote {path}");
-                }
             }
             "shard-sweep" => {
                 let counts: Vec<usize> = match shards {
@@ -207,18 +173,6 @@ fn main() {
                 if json {
                     let path = "BENCH_scale.json";
                     if let Err(e) = std::fs::write(path, scalesweep::to_json(&report)) {
-                        eprintln!("failed to write {path}: {e}");
-                        std::process::exit(1);
-                    }
-                    println!("wrote {path}");
-                }
-            }
-            "ingest-bench" => {
-                let report = ingestbench::run();
-                print!("{}", ingestbench::render(&report));
-                if json {
-                    let path = "BENCH_ingest.json";
-                    if let Err(e) = std::fs::write(path, ingestbench::to_json(&report)) {
                         eprintln!("failed to write {path}: {e}");
                         std::process::exit(1);
                     }

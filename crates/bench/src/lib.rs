@@ -11,15 +11,12 @@
 pub mod ablations;
 pub mod allocs;
 pub mod harness;
-pub mod ingestbench;
-pub mod jsonbench;
 pub mod methods;
 pub mod params_table;
 pub mod profile;
 pub mod resumable;
 pub mod scalability;
 pub mod scalesweep;
-pub mod servebench;
 pub mod shardsweep;
 pub mod tables;
 pub mod tenantbench;

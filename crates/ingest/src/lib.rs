@@ -86,6 +86,14 @@ pub enum IngestError {
     Injected(&'static str),
     /// A record was routed to a tenant with no registered ingest lane.
     UnknownTenant(u64),
+    /// A record the window cannot fold was refused before it was
+    /// logged: nothing was logged, folded or counted.
+    InvalidRecord {
+        /// The refused record.
+        record: SpeedRecord,
+        /// What is wrong with it.
+        reason: &'static str,
+    },
 }
 
 impl std::fmt::Display for IngestError {
@@ -100,6 +108,9 @@ impl std::fmt::Display for IngestError {
             IngestError::Injected(site) => write!(f, "failpoint {site}: injected failure"),
             IngestError::UnknownTenant(id) => {
                 write!(f, "tenant {id} has no registered ingest lane")
+            }
+            IngestError::InvalidRecord { record, reason } => {
+                write!(f, "refused record {record:?}: {reason}")
             }
         }
     }

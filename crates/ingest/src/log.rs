@@ -198,10 +198,18 @@ fn read_segment(path: &Path) -> Result<Vec<SpeedRecord>, IngestError> {
             .next()
             .and_then(|t| u64::from_str_radix(t, 16).ok())
             .ok_or_else(|| corrupt("bad speed field"))?;
+        if tok.next().is_some() {
+            return Err(corrupt("extra field on a record line"));
+        }
         records.push(SpeedRecord { edge, timestamp, speed: f64::from_bits(bits) });
     }
     if records.len() != count {
         return Err(corrupt("truncated segment"));
+    }
+    // A writer puts exactly `count` records in a segment: anything
+    // after them means the header and the data disagree.
+    if lines.any(|l| !l.trim().is_empty()) {
+        return Err(corrupt("data after the last record"));
     }
     Ok(records)
 }

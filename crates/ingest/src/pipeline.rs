@@ -41,10 +41,21 @@ impl Pipeline {
 
     /// Ingests one record: durable log append, then window fold.
     /// Returns `true` when the window accepted it, `false` when its
-    /// slot had already sealed (the record is still logged). An `Err`
-    /// means the log refused the record — nothing was folded, so the
-    /// caller can retry the same record.
+    /// slot had already sealed (the record is still logged).
+    ///
+    /// A record whose edge is outside the window's graph, or whose
+    /// speed is not finite, is refused with
+    /// [`IngestError::InvalidRecord`] before anything happens: it is
+    /// not logged, not folded and not counted. Any other `Err` means
+    /// the log refused the record — nothing was folded, so the caller
+    /// can retry the same record.
     pub fn ingest(&mut self, rec: SpeedRecord) -> Result<bool, IngestError> {
+        if rec.edge as usize >= self.window.config().num_edges {
+            return Err(IngestError::InvalidRecord { record: rec, reason: "edge out of range" });
+        }
+        if !rec.speed.is_finite() {
+            return Err(IngestError::InvalidRecord { record: rec, reason: "non-finite speed" });
+        }
         self.log.append(rec)?;
         let accepted = self.window.offer(rec);
         if let Some(stats) = &self.stats {
@@ -164,6 +175,28 @@ mod tests {
         pipe.flush().unwrap();
         // The late record still made it to the durable log.
         assert_eq!(pipe.log().replay().unwrap().len(), 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn invalid_records_are_refused_before_the_log() {
+        let dir = tmpdir("invalid");
+        let stats = Arc::new(IngestStats::new());
+        let log = RecordLog::open(&dir, 2).unwrap();
+        let mut pipe = Pipeline::new(log, Aggregator::new(cfg())).with_stats(Arc::clone(&stats));
+        pipe.ingest(rec(0, 10, 5.0)).unwrap();
+        let before = (pipe.log().pending(), pipe.log().persisted(), pipe.window().accepted());
+        // `cfg()` has 3 edges: edge 3 is the first out of range.
+        for bad in [rec(3, 20, 5.0), rec(1, 20, f64::NAN), rec(1, 20, f64::NEG_INFINITY)] {
+            let Err(IngestError::InvalidRecord { record, .. }) = pipe.ingest(bad) else {
+                panic!("{bad:?} was not refused as an invalid record");
+            };
+            assert_eq!(record.speed.to_bits(), bad.speed.to_bits());
+            assert_eq!((record.edge, record.timestamp), (bad.edge, bad.timestamp));
+            let after = (pipe.log().pending(), pipe.log().persisted(), pipe.window().accepted());
+            assert_eq!(after, before, "{bad:?} moved the log or the window");
+        }
+        assert_eq!(stats.snapshot()[0], 1, "a refused record is not counted");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

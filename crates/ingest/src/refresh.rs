@@ -297,11 +297,16 @@ fn read_manifest(cfg: &RefreshConfig) -> Result<Option<u64>, IngestError> {
     if lines.next() != Some(MANIFEST_MAGIC) {
         return Err(corrupt("bad magic line"));
     }
+    // A commit writes generation 1 or later, and nothing after it.
     let generation: u64 = lines
         .next()
         .and_then(|l| l.strip_prefix("generation "))
         .and_then(|g| g.parse().ok())
+        .filter(|&g| g > 0)
         .ok_or_else(|| corrupt("bad generation line"))?;
+    if lines.any(|l| !l.trim().is_empty()) {
+        return Err(corrupt("data after the generation line"));
+    }
     Ok(Some(generation))
 }
 

@@ -159,6 +159,11 @@ impl Aggregator {
     /// open slot, `false` when its slot already sealed (counted as a
     /// late drop). Allocation-free once the slot's per-edge buffers
     /// are warm.
+    ///
+    /// # Panics
+    /// Panics if the record's edge is out of range. [`crate::Pipeline`]
+    /// refuses such records, and non-finite speeds, before they get
+    /// here.
     pub fn offer(&mut self, rec: SpeedRecord) -> bool {
         assert!(
             (rec.edge as usize) < self.cfg.num_edges,

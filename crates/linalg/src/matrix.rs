@@ -170,75 +170,31 @@ impl Matrix {
     /// Matrix transpose.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out[(j, i)] = self[(i, j)];
-            }
-        }
+        self.transpose_into(&mut out);
         out
     }
 
     /// Matrix product `self * rhs`, using the ambient thread count
-    /// (see [`crate::parallel`]).
-    ///
-    /// Uses an ikj loop order so the inner loop streams over contiguous
-    /// rows of both the output and `rhs` (see the perf-book guidance on
-    /// cache-friendly access).
+    /// (see [`crate::parallel`]); see [`Matrix::matmul_into`].
     ///
     /// # Panics
     /// Panics if `self.cols() != rhs.rows()`.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        self.matmul_with(rhs, crate::parallel::current_threads())
-    }
-
-    /// Matrix product with an explicit thread count.
-    ///
-    /// Output rows are partitioned into contiguous chunks, one per
-    /// thread, and every row is computed by the exact serial per-row
-    /// loop — the result is bit-identical for every thread count.
-    pub fn matmul_with(&self, rhs: &Matrix, threads: usize) -> Matrix {
-        assert_eq!(
-            self.cols,
-            rhs.rows,
-            "matmul shape mismatch: {:?} * {:?}",
-            self.shape(),
-            rhs.shape()
-        );
         let mut out = Matrix::zeros(self.rows, rhs.cols);
-        let cols = rhs.cols;
-        let work = self.rows * self.cols * cols;
-        let threads = if work < crate::parallel::MIN_PARALLEL_WORK { 1 } else { threads };
-        // Resolved once on the calling thread — spawned chunk threads
-        // don't see its thread-local tier overrides.
-        let tier = crate::tile::resolve(work);
-        crate::parallel::par_rows(&mut out.data, cols, threads, |start, chunk| {
-            if tier == crate::tile::KernelTier::Tiled {
-                crate::tile::matmul_nn_chunk(self, rhs, start, chunk);
-                return;
-            }
-            for (r, o_row) in chunk.chunks_mut(cols.max(1)).enumerate() {
-                let a_row = self.row(start + r);
-                for (k, &a) in a_row.iter().enumerate() {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let b_row = rhs.row(k);
-                    for (o, &b) in o_row.iter_mut().zip(b_row) {
-                        *o += a * b;
-                    }
-                }
-            }
-        });
+        self.matmul_into(rhs, &mut out);
         out
     }
 
     /// Matrix product computed into an existing `rows × rhs.cols`
     /// buffer (contents are fully overwritten, so a stale pooled buffer
-    /// is fine).
+    /// is fine), using the ambient thread count.
     ///
-    /// Bit-identical to [`Matrix::matmul`]: every output row is first
-    /// zeroed, then accumulated by the exact same serial per-row loop,
-    /// with the same work threshold and row partitioning.
+    /// Uses an ikj loop order so the inner loop streams over contiguous
+    /// rows of both the output and `rhs` (see the perf-book guidance on
+    /// cache-friendly access). Output rows are partitioned into
+    /// contiguous chunks, one per thread, and every row is zeroed, then
+    /// accumulated by the exact serial per-row loop — the result is
+    /// bit-identical for every thread count.
     pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols,
@@ -255,6 +211,8 @@ impl Matrix {
         } else {
             crate::parallel::current_threads()
         };
+        // Resolved once on the calling thread — spawned chunk threads
+        // don't see its thread-local tier overrides.
         let tier = crate::tile::resolve(work);
         crate::parallel::par_rows(&mut out.data, cols, threads, |start, chunk| {
             if tier == crate::tile::KernelTier::Tiled {
@@ -456,7 +414,7 @@ impl Matrix {
     }
 
     /// Transposes `self` into an existing `cols × rows` buffer (fully
-    /// overwritten). Bit-identical to [`Matrix::transpose`].
+    /// overwritten).
     pub fn transpose_into(&self, out: &mut Matrix) {
         assert_eq!(out.shape(), (self.cols, self.rows), "transpose_into shape mismatch");
         for i in 0..self.rows {
@@ -764,11 +722,17 @@ mod tests {
 
     #[test]
     fn matmul_into_matches_out_of_place() {
-        let a = Matrix::from_rows(&[&[1.5, -2.0, 0.3], &[0.0, 4.25, -1.0]]);
+        let a = Matrix::from_rows(&[&[1.5, -2.0, 0.3], &[0.0, 4.25, -1.25]]);
         let b = Matrix::from_rows(&[&[0.7, 2.0], &[-3.0, 0.125], &[9.0, -0.4]]);
         let mut out = Matrix::filled(2, 2, f64::NAN); // stale buffer
         a.matmul_into(&b, &mut out);
-        assert_eq!(bits(&out), bits(&a.matmul(&b)));
+        // The product written out row by row in k order, skipping a's
+        // zero entries.
+        let want = Matrix::from_rows(&[
+            &[1.5 * 0.7 + -2.0 * -3.0 + 0.3 * 9.0, 1.5 * 2.0 + -2.0 * 0.125 + 0.3 * -0.4],
+            &[4.25 * -3.0 + -1.25 * 9.0, 4.25 * 0.125 + -1.25 * -0.4],
+        ]);
+        assert_eq!(bits(&out), bits(&want));
     }
 
     #[test]

@@ -179,42 +179,21 @@ impl CsrMatrix {
     }
 
     /// Sparse × dense matrix product, returning a dense matrix; uses
-    /// the ambient thread count (see [`crate::parallel`]).
+    /// the ambient thread count (see [`crate::parallel`]) and
+    /// [`CsrMatrix::matmul_dense_into`].
     pub fn matmul_dense(&self, rhs: &Matrix) -> Matrix {
-        self.matmul_dense_with(rhs, crate::parallel::current_threads())
-    }
-
-    /// Sparse × dense matrix product with an explicit thread count.
-    ///
-    /// Output rows are partitioned into contiguous per-thread chunks
-    /// and each row is accumulated by the exact serial loop, so the
-    /// result is bit-identical for every thread count.
-    pub fn matmul_dense_with(&self, rhs: &Matrix, threads: usize) -> Matrix {
-        assert_eq!(self.cols, rhs.rows(), "matmul shape mismatch");
         let mut out = Matrix::zeros(self.rows, rhs.cols());
-        let cols = rhs.cols();
-        let threads =
-            if self.nnz() * cols.max(1) < crate::parallel::MIN_PARALLEL_WORK { 1 } else { threads };
-        let tier = crate::tile::resolve(self.nnz() * cols.max(1));
-        crate::parallel::par_rows(out.as_mut_slice(), cols, threads, |start, chunk| {
-            self.for_chunk_rows(tier, start, cols, chunk, |row, dst| {
-                for (c, v) in self.row_entries(row) {
-                    let src = rhs.row(c);
-                    for (d, &s) in dst.iter_mut().zip(src) {
-                        *d += v * s;
-                    }
-                }
-            });
-        });
+        self.matmul_dense_into(rhs, &mut out);
         out
     }
 
     /// Sparse × dense product into an existing `rows × rhs.cols`
     /// buffer (fully overwritten; a stale pooled buffer is fine).
     ///
-    /// Bit-identical to [`CsrMatrix::matmul_dense`]: each output row is
-    /// zeroed, then accumulated in CSR entry order by the exact serial
-    /// loop, with the same work threshold and row partitioning.
+    /// Output rows are partitioned into contiguous per-thread chunks,
+    /// and each row is zeroed, then accumulated in CSR entry order by
+    /// the exact serial loop, so the result is bit-identical for every
+    /// thread count.
     pub fn matmul_dense_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, rhs.rows(), "matmul shape mismatch");
         assert_eq!(out.shape(), (self.rows, rhs.cols()), "matmul_dense_into shape mismatch");
@@ -489,7 +468,12 @@ mod tests {
         let rhs = Matrix::from_rows(&[&[1.5, -2.0], &[0.25, 4.0], &[-5.0, 0.1]]);
         let mut out = Matrix::filled(2, 2, f64::NAN); // stale buffer
         m.matmul_dense_into(&rhs, &mut out);
-        assert_eq!(bits(&out), bits(&m.matmul_dense(&rhs)));
+        // The product written out row by row in CSR entry order.
+        let want = Matrix::from_rows(&[
+            &[1.0 * 1.5 + 2.0 * -5.0, 1.0 * -2.0 + 2.0 * 0.1],
+            &[3.0 * -5.0, 3.0 * 0.1],
+        ]);
+        assert_eq!(bits(&out), bits(&want));
     }
 
     #[test]

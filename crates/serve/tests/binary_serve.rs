@@ -1,13 +1,16 @@
 //! End-to-end tests of the binary (length-prefixed) front end: the
 //! wire contract is *bit-exactness* — raw little-endian f64 bit
 //! patterns — so every response must be bit-identical to direct
-//! in-process inference. On top of that: pipelining (many in-flight ids on one connection) must equal
-//! sequential requests bitwise, torn/fragmented frames must survive
-//! byte-at-a-time delivery, malformed frames must answer typed errors
-//! (payload-level errors keep the session; header-level errors, legacy
-//! opcodes and other protocol versions close it), connect-to-first-response latency must be far below the old
-//! 50 ms poll-loop worst case, and ten thousand idle connections must
-//! not grow the process thread count at all.
+//! in-process inference. On top of that: pipelining (many in-flight
+//! ids on one connection) must equal sequential requests bitwise,
+//! torn/fragmented frames must survive byte-at-a-time delivery,
+//! malformed frames must answer typed errors (payload-level errors
+//! keep the session; header-level errors, legacy opcodes and other
+//! protocol versions close it), completion p99 must stay under 500 ms
+//! in process and over the wire, connect-to-first-response latency
+//! must be far below the old 50 ms poll-loop worst case, and ten
+//! thousand idle connections must not grow the process thread count
+//! at all.
 
 use gcwc::CompletionModel;
 use gcwc::{build_samples, AGcwcModel, InferWorkspace, ModelConfig, TaskKind, TrainSample};
@@ -178,26 +181,67 @@ proptest! {
     }
 }
 
+/// Nearest-rank 99th percentile of `samples`.
+fn p99(mut samples: Vec<Duration>) -> Duration {
+    samples.sort();
+    samples[((samples.len() - 1) * 99).div_ceil(100)]
+}
+
 /// N requests pipelined on one connection produce exactly the same
 /// bits as the same N sent sequentially, and every request id is
-/// answered exactly once.
+/// answered exactly once. Sent one at a time, the N completions keep
+/// the same bits in process and over the wire, and their p99 latency
+/// stays under 500 ms on both paths: the tiny model answers in
+/// milliseconds, so only a serving-stack pathology (deadlock, missed
+/// wake-up, busy loop) can break the bound.
 #[test]
 fn pipelined_equals_sequential_bitwise() {
+    const P99_BOUND: Duration = Duration::from_millis(500);
     let f = fixture();
-    let (engine, mut server) = start_server();
     let picks: Vec<usize> = (0..12).collect();
 
+    // In process, on an engine of its own so the wire requests below
+    // still miss the cache.
+    let local = Engine::new(make_registry(), EngineConfig::default());
+    let mut client = local.client();
+    let mut in_process_latency = Vec::new();
+    let in_process: Vec<Vec<u64>> = picks
+        .iter()
+        .map(|&p| {
+            let s = &f.samples[p];
+            let mut input = client.input_buffer();
+            input.copy_from(&s.input);
+            let t = Instant::now();
+            let completion =
+                client.complete(input, s.context.time_of_day, s.context.day_of_week).unwrap();
+            in_process_latency.push(t.elapsed());
+            let out = bits(&completion.output);
+            client.recycle(completion);
+            out
+        })
+        .collect();
+    local.shutdown();
+
+    let (engine, mut server) = start_server();
     let mut seq = BinClient::connect(server.addr()).unwrap();
+    let mut wire_latency = Vec::new();
     let sequential: Vec<Vec<u64>> = picks
         .iter()
         .map(|&p| {
             let s = &f.samples[p];
+            let t = Instant::now();
             let resp = seq
                 .tcomplete(TENANT, &s.input, s.context.time_of_day, s.context.day_of_week)
                 .unwrap();
+            wire_latency.push(t.elapsed());
             bits(&resp.body.output)
         })
         .collect();
+    assert_eq!(in_process, sequential, "wire answers must carry the in-process bits");
+    for (path, latency) in [("in-process", in_process_latency), ("wire", wire_latency)] {
+        let p99 = p99(latency);
+        assert!(p99 < P99_BOUND, "{path} completion p99 {p99:?} exceeds {P99_BOUND:?}");
+    }
 
     let mut pipe = BinClient::connect(server.addr()).unwrap();
     let mut id_to_pick = std::collections::HashMap::new();

@@ -13,10 +13,13 @@
 //! `with_threads`), extending the serial/parallel contract of
 //! `parallel_equivalence.rs` to the fused paths.
 //!
-//! The CP-CNN forward kernels in `gcwc_nn::ops` (batched outer product,
-//! 2-D convolution, 2-D max pooling) are serial; they are compared with
-//! the plain one-output-at-a-time loops they replaced, kept below as the
-//! reference, on inputs that include NaN, ±0, ±1e300 and −∞.
+//! `matmul` and `matmul_dense` allocate and call their `_into` forms,
+//! so those two `_into` kernels are compared with plain-loop references
+//! instead. The CP-CNN forward kernels in `gcwc_nn::ops` (batched outer
+//! product, 2-D convolution, 2-D max pooling) are serial; they are
+//! compared with the plain one-output-at-a-time loops they replaced,
+//! kept below as the reference, on inputs that include NaN, ±0, ±1e300
+//! and −∞.
 
 use gcwc_graph::{ChebyshevBasis, PolyBasis, RandomWalkBasis};
 use gcwc_linalg::parallel::with_threads;
@@ -70,18 +73,50 @@ fn sparse_triple() -> impl Strategy<Value = (CsrMatrix, Matrix, Matrix)> {
     })
 }
 
+/// Reference `a · b`: each output row accumulated from zero in `k`
+/// order, skipping `a`'s zero entries, like the naive kernel.
+fn ref_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(a.rows(), b.cols());
+    for i in 0..a.rows() {
+        for k in 0..a.cols() {
+            let av = a[(i, k)];
+            if av == 0.0 {
+                continue;
+            }
+            for j in 0..b.cols() {
+                out[(i, j)] += av * b[(k, j)];
+            }
+        }
+    }
+    out
+}
+
+/// Reference sparse × dense: each output row accumulated from zero in
+/// CSR entry order.
+fn ref_csr_matmul(m: &CsrMatrix, rhs: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(m.rows(), rhs.cols());
+    for i in 0..m.rows() {
+        for (c, v) in m.row_entries(i) {
+            for j in 0..rhs.cols() {
+                out[(i, j)] += v * rhs[(c, j)];
+            }
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `matmul_into` through a stale buffer matches `matmul`.
+    /// `matmul_into` through a stale buffer matches the plain loop.
     #[test]
     fn matmul_into_matches_out_of_place(
         (a, b) in (1usize..24, 1usize..24, 1usize..24)
             .prop_flat_map(|(r, k, c)| (matrix(r, k), matrix(k, c))),
     ) {
+        let legacy = ref_matmul(&a, &b);
         for t in THREAD_COUNTS {
             with_threads(t, || {
-                let legacy = a.matmul(&b);
                 let mut out = stale(a.rows(), b.cols());
                 a.matmul_into(&b, &mut out);
                 assert_bits_eq(&out, &legacy, "matmul_into")
@@ -168,13 +203,13 @@ proptest! {
         assert_bits_eq(&out, &legacy, "scale_assign")?;
     }
 
-    /// `matmul_dense_into` through a stale buffer matches
-    /// `matmul_dense`, including empty CSR rows.
+    /// `matmul_dense_into` through a stale buffer matches the plain
+    /// loop, including empty CSR rows.
     #[test]
     fn csr_matmul_dense_into_matches_out_of_place((a, x, _) in sparse_triple()) {
+        let legacy = ref_csr_matmul(&a, &x);
         for t in THREAD_COUNTS {
             with_threads(t, || {
-                let legacy = a.matmul_dense(&x);
                 let mut out = stale(a.rows(), x.cols());
                 a.matmul_dense_into(&x, &mut out);
                 assert_bits_eq(&out, &legacy, "matmul_dense_into")

@@ -40,18 +40,16 @@ fn matrix_pair(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Dense matmul is bit-identical for every thread count, both via
-    /// the explicit `matmul_with` and via the ambient override.
+    /// Dense matmul is bit-identical for every thread count.
     #[test]
     fn matmul_matches_serial(
         pair in (1usize..40, 1usize..40, 1usize..40).prop_flat_map(matrix_pair),
     ) {
         let (a, b, ..) = pair;
-        let serial = a.matmul_with(&b, 1);
+        let serial = with_threads(1, || a.matmul(&b));
         for t in THREAD_COUNTS {
-            assert_bits_eq(&a.matmul_with(&b, t), &serial, "matmul_with")?;
             let ambient = with_threads(t, || a.matmul(&b));
-            assert_bits_eq(&ambient, &serial, "matmul ambient")?;
+            assert_bits_eq(&ambient, &serial, "matmul")?;
         }
     }
 
@@ -73,11 +71,10 @@ proptest! {
             }
         }
         let csr = CsrMatrix::from_dense(&sparse);
-        let serial = csr.matmul_dense_with(&b, 1);
+        let serial = with_threads(1, || csr.matmul_dense(&b));
         for t in THREAD_COUNTS {
-            assert_bits_eq(&csr.matmul_dense_with(&b, t), &serial, "matmul_dense_with")?;
             let ambient = with_threads(t, || csr.matmul_dense(&b));
-            assert_bits_eq(&ambient, &serial, "matmul_dense ambient")?;
+            assert_bits_eq(&ambient, &serial, "matmul_dense")?;
         }
     }
 
@@ -144,9 +141,9 @@ fn large_matmul_exercises_parallel_path_bitwise() {
     let b = Matrix::from_fn(96, 96, |i, j| ((i + 11 * j) % 17) as f64 * 0.09 - 0.3);
     let work = a.rows() * a.cols() * b.cols();
     assert!(work >= gcwc_linalg::parallel::MIN_PARALLEL_WORK, "case must cross the work threshold");
-    let serial = a.matmul_with(&b, 1);
+    let serial = with_threads(1, || a.matmul(&b));
     for t in [2, 4, 8] {
-        let par = a.matmul_with(&b, t);
+        let par = with_threads(t, || a.matmul(&b));
         for (x, y) in par.as_slice().iter().zip(serial.as_slice()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
