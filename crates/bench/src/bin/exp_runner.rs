@@ -21,8 +21,7 @@
 //!   scale-sweep        the paper's scalability protocol at ×10/×25/×50
 //!                      (up to 8 600 edges): steady-state training-step
 //!                      time, serving p50/p99, peak RSS and allocs/step
-//!                      for GCWC and the two-shard GCWC-M2, plus the
-//!                      naive-vs-tiled kernel pair at n=860; `--smoke`
+//!                      for GCWC and the two-shard GCWC-M2; `--smoke`
 //!                      downsamples to the ×10 point; with `--json`,
 //!                      also writes `BENCH_scale.json`
 //!   tenant-bench       multi-tenant serving benchmark: a victim

@@ -6,10 +6,7 @@
 //! two-shard path `--shards=2` uses), and every row reports the
 //! machine-readable numbers CI tracks — steady-state training-step
 //! nanoseconds, serving latency percentiles, peak RSS, and heap
-//! allocations per step. A headline naive-vs-tiled dense matmul pair
-//! at n = 860 pins the kernel-tier speedup the sweep rides on; both
-//! tiers are `to_bits`-identical, so the tier only ever changes
-//! wall-clock time.
+//! allocations per step.
 //!
 //! `allocs_per_step` is live only under the `count-allocs` feature
 //! (or a test binary that installs [`crate::allocs::CountingAlloc`]);
@@ -24,7 +21,6 @@ use gcwc::task::corrupt_input_pooled;
 use gcwc::{CompletionModel, GcwcModel, ModelConfig, ShardedModel, TrainSample};
 use gcwc_graph::EdgeGraph;
 use gcwc_linalg::rng::seeded;
-use gcwc_linalg::tile::{with_tier, KernelTier};
 use gcwc_linalg::Matrix;
 use gcwc_nn::{Adam, GradBuffer, ParamStore, Tape};
 use gcwc_traffic::generators;
@@ -89,25 +85,11 @@ pub struct ScaleRow {
     pub allocs_per_step: u64,
 }
 
-/// A full sweep: the headline kernel-tier pair plus per-scale rows.
+/// A full sweep: one row per (scale, variant).
 #[derive(Clone, Debug)]
 pub struct ScaleSweepReport {
-    /// Square size of the headline dense matmul pair.
-    pub matmul_n: usize,
-    /// Minimum ns for the naive-tier matmul at `matmul_n` (1 thread).
-    pub matmul_naive_ns: u64,
-    /// Minimum ns for the tiled-tier matmul at `matmul_n` (1 thread).
-    pub matmul_tiled_ns: u64,
-    /// `matmul_naive_ns / matmul_tiled_ns`.
-    pub matmul_speedup: f64,
     /// Measured rows, in scale order, GCWC before GCWC-M2.
     pub rows: Vec<ScaleRow>,
-}
-
-/// The sweep's synthetic sample generator, sized for smoke tests
-/// (48 intervals per day, the sweep's fixed context grid).
-pub fn smoke_samples(n: usize, m: usize, count: usize, seed: u64) -> Vec<TrainSample> {
-    synthetic_samples(n, m, count, 48, seed)
 }
 
 /// Peak resident set size (`VmHWM`) in kB; 0 where unavailable.
@@ -238,35 +220,9 @@ fn serve_percentiles(
     (percentile(&ns, 0.50), percentile(&ns, 0.99))
 }
 
-/// The headline kernel-tier pair: one n × n dense matmul per tier at
-/// a single thread, minimum over `reps` runs each.
-fn matmul_headline(n: usize, reps: usize) -> (u64, u64) {
-    let mut rng = seeded(7);
-    let a = Matrix::from_fn(n, n, |_, _| rng.random::<f64>() - 0.5);
-    let b = Matrix::from_fn(n, n, |_, _| rng.random::<f64>() - 0.5);
-    let mut sink = Matrix::zeros(n, n);
-    gcwc_linalg::parallel::with_threads(1, || {
-        let mut time = |tier: KernelTier| {
-            let mut best = u64::MAX;
-            for _ in 0..reps {
-                let t0 = Instant::now();
-                with_tier(tier, || black_box(&a).matmul_into(black_box(&b), &mut sink));
-                best = best.min(t0.elapsed().as_nanos() as u64);
-            }
-            black_box(&sink);
-            best
-        };
-        (time(KernelTier::Naive), time(KernelTier::Tiled))
-    })
-}
-
-/// Runs the sweep: headline tier pair, then per-scale GCWC and
-/// GCWC-M2 rows (training, serving, RSS, allocations).
+/// Runs the sweep: per-scale GCWC and GCWC-M2 rows (training,
+/// serving, RSS, allocations).
 pub fn run(cfg: &ScaleSweepConfig) -> ScaleSweepReport {
-    let matmul_n = 860;
-    let (matmul_naive_ns, matmul_tiled_ns) = matmul_headline(matmul_n, 3);
-    let matmul_speedup = matmul_naive_ns as f64 / matmul_tiled_ns.max(1) as f64;
-
     let base = generators::city_network(cfg.seed);
     let m = 8;
     let ipd = 48;
@@ -320,17 +276,13 @@ pub fn run(cfg: &ScaleSweepConfig) -> ScaleSweepReport {
             allocs_per_step: m2_allocs,
         });
     }
-    ScaleSweepReport { matmul_n, matmul_naive_ns, matmul_tiled_ns, matmul_speedup, rows }
+    ScaleSweepReport { rows }
 }
 
 /// Renders the report as an aligned text table.
 pub fn render(r: &ScaleSweepReport) -> String {
     let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "Scale sweep (dense matmul n={}: naive {} ns, tiled {} ns, speedup {:.2}x)",
-        r.matmul_n, r.matmul_naive_ns, r.matmul_tiled_ns, r.matmul_speedup
-    );
+    let _ = writeln!(s, "Scale sweep");
     let _ = writeln!(
         s,
         "{:>6}{:>7}{:>10}{:>8}{:>15}{:>14}{:>14}{:>13}{:>13}",
@@ -366,12 +318,7 @@ pub fn render(r: &ScaleSweepReport) -> String {
 /// is a number or a plain identifier string, so no escaping is
 /// needed).
 pub fn to_json(r: &ScaleSweepReport) -> String {
-    let mut s = String::from("{\n");
-    let _ = writeln!(s, "  \"matmul_n\": {},", r.matmul_n);
-    let _ = writeln!(s, "  \"matmul_naive_ns\": {},", r.matmul_naive_ns);
-    let _ = writeln!(s, "  \"matmul_tiled_ns\": {},", r.matmul_tiled_ns);
-    let _ = writeln!(s, "  \"matmul_speedup\": {:.3},", r.matmul_speedup);
-    s.push_str("  \"rows\": [\n");
+    let mut s = String::from("{\n  \"rows\": [\n");
     for (i, row) in r.rows.iter().enumerate() {
         let _ = write!(
             s,
@@ -400,10 +347,6 @@ mod tests {
 
     fn fake_report() -> ScaleSweepReport {
         ScaleSweepReport {
-            matmul_n: 860,
-            matmul_naive_ns: 200,
-            matmul_tiled_ns: 100,
-            matmul_speedup: 2.0,
             rows: vec![ScaleRow {
                 scale: 10,
                 edges: 1720,
@@ -423,8 +366,6 @@ mod tests {
         let j = to_json(&fake_report());
         assert!(j.starts_with("{\n") && j.ends_with("}\n"));
         for field in [
-            "\"matmul_n\": 860",
-            "\"matmul_speedup\": 2.000",
             "\"variant\": \"GCWC\"",
             "\"train_step_ns\": 5",
             "\"peak_rss_kb\": 1024",
@@ -433,6 +374,7 @@ mod tests {
             assert!(j.contains(field), "missing {field} in {j}");
         }
         assert!(!j.contains(",\n  ]"), "no trailing comma");
+        assert!(!j.contains("matmul"), "no kernel timing field");
     }
 
     #[test]

@@ -189,18 +189,28 @@ fn longer_trainings_do_not_allocate_more_per_epoch() {
 }
 
 #[test]
-fn dense_and_csr_kernels_are_allocation_free_in_both_tiers() {
-    // Every `_into` fast path must stay heap-free regardless of which
-    // kernel tier serves it — the tiled tier's blocking works entirely
-    // in registers and the caller's buffers, and the CSR bucket order
-    // is precomputed at construction.
-    use gcwc_linalg::tile::{with_tier, KernelTier};
+fn dense_and_csr_kernels_are_allocation_free_on_both_sides_of_the_threshold() {
+    // Every `_into` fast path must stay heap-free whichever loop its
+    // size picks — the tiled loops block entirely in registers and the
+    // caller's buffers. The dense products run once below
+    // `TILED_MIN_WORK` (naive) and once above it (tiled).
+    use gcwc_linalg::tile::TILED_MIN_WORK;
     use gcwc_linalg::{CsrMatrix, Matrix};
     gcwc_linalg::parallel::set_global_threads(1);
-    let n = 301;
     let mut rng = seeded(5);
-    let a = Matrix::from_fn(n, n, |_, _| rng.random::<f64>() - 0.5);
-    let b = Matrix::from_fn(n, n, |_, _| rng.random::<f64>() - 0.5);
+    for n in [20, 301] {
+        let a = Matrix::from_fn(n, n, |_, _| rng.random::<f64>() - 0.5);
+        let b = Matrix::from_fn(n, n, |_, _| rng.random::<f64>() - 0.5);
+        let mut out = Matrix::zeros(n, n);
+        assert_eq!(n * n * n >= TILED_MIN_WORK, n == 301);
+        let (_, allocs) = count_allocs(|| {
+            a.matmul_into(&b, &mut out);
+            a.matmul_nt_into(&b, &mut out);
+            a.matmul_tn_into(&b, &mut out);
+        });
+        assert_eq!(allocs, 0, "dense kernel allocations at n = {n}");
+    }
+    let n = 301;
     let x = Matrix::from_fn(n, 8, |_, _| rng.random::<f64>() - 0.5);
     let prev = Matrix::from_fn(n, 8, |_, _| 0.25);
     let lap = CsrMatrix::from_triplets(
@@ -208,26 +218,15 @@ fn dense_and_csr_kernels_are_allocation_free_in_both_tiers() {
         n,
         (0..n).flat_map(|i| [(i, (i + 1) % n, 1.0), (i, (i + 5) % n, 0.5), (i, i, -1.5)]),
     );
-    let mut out_nn = Matrix::zeros(n, n);
     let mut out_x = Matrix::zeros(n, 8);
     let mut acc = Matrix::zeros(n, 8);
-    // One warm-up call caches the tier resolution: the first read of a
-    // set `GCWC_KERNEL_TIER` allocates the env-var string, once.
-    a.matmul_into(&b, &mut out_nn);
-    for tier in [KernelTier::Naive, KernelTier::Tiled] {
-        with_tier(tier, || {
-            let (_, allocs) = count_allocs(|| {
-                a.matmul_into(&b, &mut out_nn);
-                a.matmul_nt_into(&b, &mut out_nn);
-                a.matmul_tn_into(&b, &mut out_nn);
-                lap.matmul_dense_into(&x, &mut out_x);
-                lap.cheb_step_into(&x, &prev, &mut out_x);
-                lap.axpby(2.0, &x, -1.0, &mut acc);
-                lap.clenshaw_step(&prev, &x, 0.5, &mut acc);
-            });
-            assert_eq!(allocs, 0, "kernel allocations in tier {tier:?}");
-        });
-    }
+    let (_, allocs) = count_allocs(|| {
+        lap.matmul_dense_into(&x, &mut out_x);
+        lap.cheb_step_into(&x, &prev, &mut out_x);
+        lap.axpby(2.0, &x, -1.0, &mut acc);
+        lap.clenshaw_step(&prev, &x, 0.5, &mut acc);
+    });
+    assert_eq!(allocs, 0, "CSR kernel allocations");
 }
 
 #[test]

@@ -1,23 +1,14 @@
-//! Smoke coverage for the scale sweep (`exp_runner scale-sweep`).
+//! Smoke coverage for the scale sweep (`exp_runner scale-sweep`): the
+//! downsampled ×10 sweep produces a `BENCH_scale.json` with every
+//! schema field present and sane, and the GCWC rows hold the
+//! steady-state training step at **zero** heap allocations (the
+//! counting allocator below makes that a real measurement).
 //!
-//! Two pins:
-//! 1. the downsampled ×10 sweep produces a `BENCH_scale.json` with
-//!    every schema field present and sane, and the GCWC rows hold the
-//!    steady-state training step at **zero** heap allocations (the
-//!    counting allocator below makes that a real measurement);
-//! 2. training under the tiled kernel tier reproduces the naive
-//!    checkpoint byte-for-byte at n = 860 — the tier changes
-//!    wall-clock time only, never a single bit of the weights.
-//!
-//! The full sweep test is `#[ignore]`d: it takes minutes in debug
-//! builds, so the CI `scale` job runs it in release (under both
-//! `GCWC_KERNEL_TIER` forcings) instead of the tier-1 test pass.
+//! The test is `#[ignore]`d: it takes minutes in debug builds, so the
+//! CI `scale` job runs it in release instead of the tier-1 test pass.
 
-use gcwc::{CompletionModel, GcwcModel, ModelConfig};
 use gcwc_bench::allocs::CountingAlloc;
 use gcwc_bench::scalesweep::{run, to_json, ScaleSweepConfig};
-use gcwc_linalg::tile::{with_tier, KernelTier};
-use gcwc_traffic::generators;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -28,10 +19,6 @@ fn smoke_sweep_writes_valid_schema() {
     gcwc_linalg::parallel::set_global_threads(1);
     let cfg = ScaleSweepConfig { scales: vec![10], steps: 2, serve_reqs: 2, seed: 42 };
     let report = run(&cfg);
-
-    assert_eq!(report.matmul_n, 860);
-    assert!(report.matmul_naive_ns > 0 && report.matmul_tiled_ns > 0);
-    assert!(report.matmul_speedup.is_finite() && report.matmul_speedup > 0.0);
 
     assert_eq!(report.rows.len(), 2, "one GCWC and one GCWC-M2 row per scale");
     for row in &report.rows {
@@ -52,10 +39,6 @@ fn smoke_sweep_writes_valid_schema() {
 
     let json = to_json(&report);
     for field in [
-        "\"matmul_n\"",
-        "\"matmul_naive_ns\"",
-        "\"matmul_tiled_ns\"",
-        "\"matmul_speedup\"",
         "\"rows\"",
         "\"scale\"",
         "\"edges\"",
@@ -70,32 +53,4 @@ fn smoke_sweep_writes_valid_schema() {
         assert!(json.contains(field), "schema field {field} missing from {json}");
     }
     assert!(json.starts_with("{\n") && json.ends_with("}\n"));
-}
-
-#[test]
-fn tiled_training_checkpoint_matches_naive_bitwise() {
-    gcwc_linalg::parallel::set_global_threads(1);
-    let base = generators::city_network(42);
-    let graph = generators::scaled_city(&base.graph, 5); // 860 edges
-    let n = graph.num_nodes();
-    assert_eq!(n, 860);
-    let samples = gcwc_bench::scalesweep::smoke_samples(n, 8, 2, 42);
-    let cfg = ModelConfig::ci_hist().with_epochs(1).with_threads(1);
-
-    let checkpoint = |tier: KernelTier, name: &str| -> Vec<u8> {
-        with_tier(tier, || {
-            let mut model = GcwcModel::new(&graph, 8, cfg.clone(), 42);
-            model.fit(&samples);
-            let path = std::env::temp_dir().join(format!("gcwc-scale-smoke-{name}.ckpt"));
-            model.save(&path).expect("checkpoint save");
-            let bytes = std::fs::read(&path).expect("checkpoint read");
-            let _ = std::fs::remove_file(&path);
-            bytes
-        })
-    };
-
-    let naive = checkpoint(KernelTier::Naive, "naive");
-    let tiled = checkpoint(KernelTier::Tiled, "tiled");
-    assert!(!naive.is_empty());
-    assert_eq!(naive, tiled, "tiers must train to byte-identical checkpoints");
 }

@@ -37,10 +37,6 @@ pub struct Encoder {
     m: usize,
     dropout: f64,
     output: OutputKind,
-    /// Plan-time kernel tier ([`ConvPlan::kernel_tier`]), installed as
-    /// the default tier around forward passes. Bit-identical to naive,
-    /// so it only affects speed, never results or checkpoints.
-    kernel_tier: gcwc_linalg::KernelTier,
 }
 
 impl Encoder {
@@ -63,7 +59,6 @@ impl Encoder {
             .map(|lc| StageSpec { cheb_order: lc.cheb_order, pool: lc.pool })
             .collect();
         let plan = ConvPlan::build(graph.adjacency(), &specs);
-        let kernel_tier = plan.kernel_tier();
         let mut c_in = 1usize;
         let mut layers = Vec::with_capacity(cfg.conv_layers.len());
         for ((li, lc), stage) in cfg.conv_layers.iter().enumerate().zip(plan.into_stages()) {
@@ -90,7 +85,7 @@ impl Encoder {
         let last = layers.last().expect("at least one conv layer");
         let fc_in = last.out_nodes * last.out_filters;
         let fc = Dense::new(store, rng, "fc", fc_in, n);
-        Self { layers, fc, n, m, dropout: cfg.dropout, output: cfg.output, kernel_tier }
+        Self { layers, fc, n, m, dropout: cfg.dropout, output: cfg.output }
     }
 
     /// Number of edges `n`.
@@ -125,19 +120,6 @@ impl Encoder {
         rng: &mut StdRng,
     ) -> NodeId {
         assert_eq!(input.shape(), (self.n, self.m), "input shape mismatch");
-        gcwc_linalg::tile::with_default_tier(self.kernel_tier, || {
-            self.logits_inner(tape, store, input, train, rng)
-        })
-    }
-
-    fn logits_inner(
-        &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        input: &Matrix,
-        train: bool,
-        rng: &mut StdRng,
-    ) -> NodeId {
         // Group-major layout: group g (bucket g) holds c channels.
         let mut x = tape.constant_copied(input);
         for layer in &self.layers {
@@ -210,19 +192,6 @@ impl Encoder {
     /// bit-identical to running request `r` alone through
     /// [`Encoder::output`] in eval mode.
     pub(crate) fn infer_outputs(
-        &self,
-        store: &ParamStore,
-        ws: &mut InferWorkspace,
-        wide_input: &Matrix,
-        reqs: usize,
-        outs: &mut [Matrix],
-    ) {
-        gcwc_linalg::tile::with_default_tier(self.kernel_tier, || {
-            self.infer_outputs_inner(store, ws, wide_input, reqs, outs)
-        })
-    }
-
-    fn infer_outputs_inner(
         &self,
         store: &ParamStore,
         ws: &mut InferWorkspace,

@@ -294,27 +294,12 @@ impl<M: ShardModel> ShardedModel<M> {
         control_for: impl Fn(usize) -> TrainControl + Sync,
         fit: impl Fn(&mut M, &[TrainSample], &TrainControl) -> Result<(), TrainError> + Sync,
     ) -> Result<(), TrainError> {
-        if self.shards.len() == 1 {
-            let local: Vec<TrainSample> = samples.iter().map(|s| self.localize(0, s)).collect();
-            return fit(&mut self.shards[0], &local, &control_for(0));
-        }
-        let partition = &self.partition;
         let locals: Vec<Vec<TrainSample>> = (0..self.shards.len())
-            .map(|k| {
-                let view = partition.partition(k).view();
-                samples
-                    .iter()
-                    .map(|s| TrainSample {
-                        snapshot_index: s.snapshot_index,
-                        input: view.select(&s.input),
-                        label: view.select(&s.label),
-                        label_mask: view.owned_mask(&s.label_mask),
-                        context: view_context(view, &s.context),
-                        history: s.history.iter().map(|h| view.select(h)).collect(),
-                    })
-                    .collect()
-            })
+            .map(|k| samples.iter().map(|s| self.localize(k, s)).collect())
             .collect();
+        if self.shards.len() == 1 {
+            return fit(&mut self.shards[0], &locals[0], &control_for(0));
+        }
         let control_for = &control_for;
         let fit = &fit;
         let mut results: Vec<Result<(), TrainError>> = Vec::new();
@@ -431,21 +416,9 @@ impl<M: ShardModel> ShardedModel<M> {
         subset: &[usize],
         samples: &[TrainSample],
     ) -> Result<(), TrainError> {
-        let partition = Arc::clone(&self.partition);
         let single = self.shards.len() == 1;
         for &k in subset {
-            let view = partition.partition(k).view();
-            let local: Vec<TrainSample> = samples
-                .iter()
-                .map(|s| TrainSample {
-                    snapshot_index: s.snapshot_index,
-                    input: view.select(&s.input),
-                    label: view.select(&s.label),
-                    label_mask: view.owned_mask(&s.label_mask),
-                    context: view_context(view, &s.context),
-                    history: s.history.iter().map(|h| view.select(h)).collect(),
-                })
-                .collect();
+            let local: Vec<TrainSample> = samples.iter().map(|s| self.localize(k, s)).collect();
             let control = TrainControl::default();
             let shard = &mut self.shards[k];
             if single {

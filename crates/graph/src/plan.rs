@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use gcwc_linalg::{CsrMatrix, KernelTier};
+use gcwc_linalg::CsrMatrix;
 
 use crate::chebyshev::ChebyshevBasis;
 use crate::coarsen::GraphHierarchy;
@@ -45,7 +45,6 @@ pub struct ConvStage {
 pub struct ConvPlan {
     hierarchy: GraphHierarchy,
     stages: Vec<ConvStage>,
-    kernel_tier: KernelTier,
 }
 
 impl ConvPlan {
@@ -76,11 +75,7 @@ impl ConvPlan {
             };
             stages.push(ConvStage { basis, pool, in_nodes, out_nodes });
         }
-        // Plan-time kernel-tier choice from the widest level: every
-        // dense kernel in the model works on `n × features` buffers, so
-        // the input node count is the size that matters.
-        let kernel_tier = KernelTier::for_nodes(adjacency.rows());
-        Self { hierarchy, stages, kernel_tier }
+        Self { hierarchy, stages }
     }
 
     /// The coarsening hierarchy the stages were built over.
@@ -96,16 +91,6 @@ impl ConvPlan {
     /// Nodes left after the final stage's pooling.
     pub fn out_nodes(&self) -> usize {
         self.stages.last().expect("non-empty plan").out_nodes
-    }
-
-    /// The kernel tier chosen at plan time from the graph size (see
-    /// [`KernelTier::for_nodes`]). Models install it as the default
-    /// tier around their forward passes; explicit overrides
-    /// (`GCWC_KERNEL_TIER`, `with_tier`, `set_global_tier`) still win,
-    /// and because the tiers are bit-identical the choice never affects
-    /// results.
-    pub fn kernel_tier(&self) -> KernelTier {
-        self.kernel_tier
     }
 
     /// Consumes the plan, yielding the stages for a model to own.
@@ -153,14 +138,6 @@ mod tests {
         assert!(plan.stages()[0].pool.is_none());
         assert_eq!(plan.out_nodes(), 8);
         assert_eq!(plan.hierarchy().num_levels(), 0);
-    }
-
-    #[test]
-    fn plan_picks_tier_from_node_count() {
-        let small = ConvPlan::build(&path(16), &[StageSpec { cheb_order: 2, pool: 1 }]);
-        assert_eq!(small.kernel_tier(), KernelTier::Naive);
-        let large = ConvPlan::build(&path(300), &[StageSpec { cheb_order: 2, pool: 1 }]);
-        assert_eq!(large.kernel_tier(), KernelTier::Tiled);
     }
 
     #[test]

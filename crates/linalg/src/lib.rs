@@ -24,4 +24,3 @@ pub use matrix::Matrix;
 pub use parallel::Threads;
 pub use pool::{BufferPool, PoolGuard};
 pub use sparse::CsrMatrix;
-pub use tile::KernelTier;

@@ -211,8 +211,6 @@ impl Matrix {
         } else {
             crate::parallel::current_threads()
         };
-        // Resolved once on the calling thread — spawned chunk threads
-        // don't see its thread-local tier overrides.
         let tier = crate::tile::resolve(work);
         crate::parallel::par_rows(&mut out.data, cols, threads, |start, chunk| {
             if tier == crate::tile::KernelTier::Tiled {

@@ -17,14 +17,6 @@ pub struct CsrMatrix {
     row_ptr: Vec<usize>,
     col_idx: Vec<usize>,
     values: Vec<f64>,
-    /// Rows sorted by `(nnz, row)`: the tiled kernel tier processes the
-    /// rows of each chunk in this bucketed order so same-cost rows run
-    /// back to back (better branch/prefetch behaviour in the Chebyshev
-    /// recurrences). Precomputed here so the steady state never
-    /// allocates. Row results are independent and each row's CSR-entry
-    /// accumulation order is untouched, so the reordering is
-    /// bit-identical to the natural order.
-    bucket_order: Vec<u32>,
 }
 
 /// Row-product accumulators up to this width (2 KiB) live on the stack
@@ -71,10 +63,7 @@ impl CsrMatrix {
             }
             row_ptr.push(col_idx.len());
         }
-        assert!(rows <= u32::MAX as usize, "row count exceeds bucket-order index width");
-        let mut bucket_order: Vec<u32> = (0..rows as u32).collect();
-        bucket_order.sort_unstable_by_key(|&r| (row_ptr[r as usize + 1] - row_ptr[r as usize], r));
-        Self { rows, cols, row_ptr, col_idx, values, bucket_order }
+        Self { rows, cols, row_ptr, col_idx, values }
     }
 
     /// Converts a dense matrix into CSR form, dropping exact zeros.
@@ -129,38 +118,6 @@ impl CsrMatrix {
         self.row_entries(i).find(|&(c, _)| c == j).map_or(0.0, |(_, v)| v)
     }
 
-    /// Runs `body(row, dst_row)` over every output row of one
-    /// `par_rows` chunk. The naive tier walks rows in natural order;
-    /// the tiled tier walks them in the precomputed nnz-bucketed order
-    /// (`bucket_order` restricted to the chunk, an alloc-free scan).
-    /// Rows are independent and each row's own accumulation order is
-    /// untouched, so both orders produce bit-identical results.
-    fn for_chunk_rows(
-        &self,
-        tier: crate::tile::KernelTier,
-        start: usize,
-        cols: usize,
-        chunk: &mut [f64],
-        mut body: impl FnMut(usize, &mut [f64]),
-    ) {
-        let width = cols.max(1);
-        if tier == crate::tile::KernelTier::Tiled {
-            let rows_in_chunk = chunk.len() / width;
-            for &ri in &self.bucket_order {
-                let ri = ri as usize;
-                if ri < start || ri >= start + rows_in_chunk {
-                    continue;
-                }
-                let at = (ri - start) * width;
-                body(ri, &mut chunk[at..at + width]);
-            }
-        } else {
-            for (r, dst) in chunk.chunks_mut(width).enumerate() {
-                body(start + r, dst);
-            }
-        }
-    }
-
     /// Sparse matrix × dense vector product.
     pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
         assert_eq!(self.cols, v.len(), "matvec shape mismatch");
@@ -203,9 +160,9 @@ impl CsrMatrix {
         } else {
             crate::parallel::current_threads()
         };
-        let tier = crate::tile::resolve(self.nnz() * cols.max(1));
         crate::parallel::par_rows(out.as_mut_slice(), cols, threads, |start, chunk| {
-            self.for_chunk_rows(tier, start, cols, chunk, |row, dst| {
+            for (r, dst) in chunk.chunks_mut(cols.max(1)).enumerate() {
+                let row = start + r;
                 dst.fill(0.0);
                 for (c, v) in self.row_entries(row) {
                     let src = rhs.row(c);
@@ -213,7 +170,7 @@ impl CsrMatrix {
                         *d += v * s;
                     }
                 }
-            });
+            }
         });
     }
 
@@ -233,7 +190,6 @@ impl CsrMatrix {
         } else {
             crate::parallel::current_threads()
         };
-        let tier = crate::tile::resolve(self.nnz() * cols.max(1));
         crate::parallel::par_rows(y.as_mut_slice(), cols, threads, |start, chunk| {
             // Stack accumulator for the common narrow case keeps the
             // steady-state training step heap-allocation-free.
@@ -245,7 +201,8 @@ impl CsrMatrix {
                 heap.resize(cols, 0.0);
                 &mut heap
             };
-            self.for_chunk_rows(tier, start, cols, chunk, |row, dst| {
+            for (r, dst) in chunk.chunks_mut(cols.max(1)).enumerate() {
+                let row = start + r;
                 acc.fill(0.0);
                 for (c, v) in self.row_entries(row) {
                     let src = x.row(c);
@@ -256,7 +213,7 @@ impl CsrMatrix {
                 for (d, &a) in dst.iter_mut().zip(acc.iter()) {
                     *d = alpha * a + beta * *d;
                 }
-            });
+            }
         });
     }
 
@@ -277,9 +234,9 @@ impl CsrMatrix {
         } else {
             crate::parallel::current_threads()
         };
-        let tier = crate::tile::resolve(self.nnz() * cols.max(1));
         crate::parallel::par_rows(out.as_mut_slice(), cols, threads, |start, chunk| {
-            self.for_chunk_rows(tier, start, cols, chunk, |row, dst| {
+            for (r, dst) in chunk.chunks_mut(cols.max(1)).enumerate() {
+                let row = start + r;
                 dst.fill(0.0);
                 for (c, v) in self.row_entries(row) {
                     let src = x.row(c);
@@ -291,7 +248,7 @@ impl CsrMatrix {
                 for (d, &p) in dst.iter_mut().zip(p_row) {
                     *d = *d * 2.0 - p;
                 }
-            });
+            }
         });
     }
 
@@ -314,7 +271,6 @@ impl CsrMatrix {
         } else {
             crate::parallel::current_threads()
         };
-        let tier = crate::tile::resolve(self.nnz() * cols.max(1));
         crate::parallel::par_rows(c2.as_mut_slice(), cols, threads, |start, chunk| {
             // Stack accumulator for the common narrow case keeps the
             // steady-state training step heap-allocation-free.
@@ -326,7 +282,8 @@ impl CsrMatrix {
                 heap.resize(cols, 0.0);
                 &mut heap
             };
-            self.for_chunk_rows(tier, start, cols, chunk, |row, dst| {
+            for (r, dst) in chunk.chunks_mut(cols.max(1)).enumerate() {
+                let row = start + r;
                 acc.fill(0.0);
                 for (c, v) in self.row_entries(row) {
                     let src = x.row(c);
@@ -338,7 +295,7 @@ impl CsrMatrix {
                 for ((d, &a), &bv) in dst.iter_mut().zip(acc.iter()).zip(b_row) {
                     *d = (bv + s * a) - *d;
                 }
-            });
+            }
         });
     }
 
@@ -497,36 +454,6 @@ mod tests {
         let mut out = Matrix::filled(2, 2, f64::NAN);
         m.cheb_step_into(&x, &prev, &mut out);
         assert_eq!(bits(&out), bits(&expect));
-    }
-
-    #[test]
-    fn tiled_row_order_matches_natural_order_bitwise() {
-        use crate::tile::{with_tier, KernelTier};
-        // Irregular nnz per row so the bucket order genuinely permutes.
-        let n = 37;
-        let m = CsrMatrix::from_triplets(
-            n,
-            n,
-            (0..n).flat_map(|i| {
-                (0..=(i % 5)).map(move |d| (i, (i + d * 3) % n, 0.1 * (i + d + 1) as f64))
-            }),
-        );
-        let rhs = Matrix::from_fn(n, 6, |i, j| ((i * 7 + j) as f64).sin());
-        let prev = Matrix::from_fn(n, 6, |i, j| ((i + j) as f64).cos());
-        let naive = with_tier(KernelTier::Naive, || m.matmul_dense(&rhs));
-        let tiled = with_tier(KernelTier::Tiled, || m.matmul_dense(&rhs));
-        assert_eq!(bits(&naive), bits(&tiled));
-        let mut out_n = Matrix::filled(n, 6, f64::NAN);
-        let mut out_t = Matrix::filled(n, 6, f64::NAN);
-        with_tier(KernelTier::Naive, || m.cheb_step_into(&rhs, &prev, &mut out_n));
-        with_tier(KernelTier::Tiled, || m.cheb_step_into(&rhs, &prev, &mut out_t));
-        assert_eq!(bits(&out_n), bits(&out_t));
-        with_tier(KernelTier::Naive, || m.clenshaw_step(&prev, &rhs, 2.0, &mut out_n));
-        with_tier(KernelTier::Tiled, || m.clenshaw_step(&prev, &rhs, 2.0, &mut out_t));
-        assert_eq!(bits(&out_n), bits(&out_t));
-        with_tier(KernelTier::Naive, || m.axpby(0.75, &rhs, -1.25, &mut out_n));
-        with_tier(KernelTier::Tiled, || m.axpby(0.75, &rhs, -1.25, &mut out_t));
-        assert_eq!(bits(&out_n), bits(&out_t));
     }
 
     #[test]

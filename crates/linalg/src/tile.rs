@@ -1,50 +1,40 @@
-//! Kernel-tier selection and cache-blocked (tiled) dense kernels.
+//! Cache-blocked (tiled) dense kernels and the rule that picks them.
 //!
-//! The scale sweep (ISSUE 6 / PAPER §2) runs the CI network enlarged up
-//! to ×50 (8 600 edges). At that size the naive row-streaming matmul
-//! re-reads every `rhs` row once per output row and keeps no operand in
-//! registers; the tiled kernels here block the *output* into 4×8
-//! register tiles so each loaded `rhs` value is reused across 4 output
-//! rows and each accumulator lives in a register for the whole `k`
-//! sweep.
+//! The scale sweep runs the CI network enlarged up to ×50 (8 600
+//! edges). At that size the naive row-streaming matmul re-reads every
+//! `rhs` row once per output row and keeps no operand in registers;
+//! the tiled kernels here block the *output* into 4×8 register tiles
+//! so each loaded `rhs` value is reused across 4 output rows and each
+//! accumulator lives in a register for the whole `k` sweep.
 //!
 //! ## The bit-identity contract
 //!
 //! Every kernel in this workspace is `to_bits`-identical across thread
-//! counts (see [`crate::parallel`]); the tiled tier extends that
-//! guarantee across *tiers*: tiles reorder only the `i`/`j` loops,
-//! **never** the `k`-accumulation order. Each output element is still
+//! counts (see [`crate::parallel`]), and the tiled loops keep it: tiles
+//! reorder only the `i`/`j` loops, **never** the `k`-accumulation order. Each output element is still
 //! accumulated from `0.0` in ascending-`k` order, and the per-term
 //! `a == 0.0` skip of the naive kernels is preserved verbatim (skipping
 //! a term is *not* the same as adding `0.0 · b` when `b` is `inf`/`NaN`
 //! or the accumulator is `-0.0`). Consequently naive and tiled results
-//! are bit-identical for every input, and the tier choice is a pure
-//! performance knob — `crates/linalg/tests/tiled_equivalence.rs` is the
-//! contract's property-test net.
+//! are bit-identical for every input, and the choice between them is a
+//! pure performance decision — `crates/linalg/tests/tiled_equivalence.rs`
+//! is the contract's property-test net.
 //!
-//! ## Tier resolution, in priority order
+//! ## Which loop runs
 //!
-//! 1. the `GCWC_KERNEL_TIER` environment variable (`naive`/`tiled`,
-//!    read once per process) — CI forces both tiers through the whole
-//!    test suite with it,
-//! 2. a thread-local override installed by [`with_tier`] (tests,
-//!    benches),
-//! 3. the process-global tier, set via [`set_global_tier`],
-//! 4. a thread-local *default* installed by [`with_default_tier`] —
-//!    this is how the encoder threads its plan-time
-//!    [`KernelTier::for_nodes`] choice into the kernels without forcing
-//!    callers that explicitly asked for a tier,
-//! 5. automatic choice from the kernel's work size
-//!    ([`TILED_MIN_WORK`]).
+//! One rule, from the product's size alone: a dense product with at
+//! least [`TILED_MIN_WORK`] multiply-adds (`rows · k · cols`) runs
+//! tiled and a smaller one runs naive. Both loops stay because each is
+//! the faster one on some products: tiling pays on large products and
+//! costs on small ones. The rule is not the best choice for every
+//! shape — an `aᵀ · b` with a short inner dimension crosses the
+//! threshold yet runs faster naive (DESIGN.md §15 has timings).
 
 use crate::matrix::Matrix;
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
 
-/// Which implementation the dense kernels dispatch to.
+/// Which loop a dense product runs (see the module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KernelTier {
+pub(crate) enum KernelTier {
     /// The straightforward row-streaming loops.
     Naive,
     /// Cache-blocked 4×8 register-tile kernels (same `k` order,
@@ -58,127 +48,18 @@ pub const TILE_MR: usize = 4;
 /// two f64×4 vector registers per row.
 pub const TILE_NR: usize = 8;
 
-/// Automatic tier selection picks [`KernelTier::Tiled`] once a kernel
-/// has at least this many multiply-adds (`rows · k · cols`); below it
-/// the blocking bookkeeping costs more than the reuse saves.
+/// A dense product runs tiled once it has at least this many
+/// multiply-adds (`rows · k · cols`); below it the blocking
+/// bookkeeping costs more than the reuse saves.
 pub const TILED_MIN_WORK: usize = 1 << 15;
 
-/// Node counts at or above this choose [`KernelTier::Tiled`] at plan
-/// time (see [`KernelTier::for_nodes`]). The CI network (n = 172) stays
-/// naive; every enlarged grid in the scale sweep (n ≥ 860) tiles.
-pub const TILED_MIN_NODES: usize = 256;
-
-impl KernelTier {
-    /// Plan-time tier choice from the graph's node count: grids with at
-    /// least [`TILED_MIN_NODES`] nodes use the tiled kernels.
-    pub fn for_nodes(n: usize) -> Self {
-        if n >= TILED_MIN_NODES {
-            KernelTier::Tiled
-        } else {
-            KernelTier::Naive
-        }
-    }
-}
-
-/// Process-global tier; 0 = unset, 1 = naive, 2 = tiled.
-static GLOBAL_TIER: AtomicU8 = AtomicU8::new(0);
-/// `GCWC_KERNEL_TIER`, parsed once per process.
-static ENV_TIER: OnceLock<Option<KernelTier>> = OnceLock::new();
-
-thread_local! {
-    /// Per-thread forced tier; 0 = no override.
-    static TIER_OVERRIDE: Cell<u8> = const { Cell::new(0) };
-    /// Per-thread plan-time default; 0 = none installed.
-    static TIER_DEFAULT: Cell<u8> = const { Cell::new(0) };
-}
-
-fn enc(t: KernelTier) -> u8 {
-    match t {
-        KernelTier::Naive => 1,
-        KernelTier::Tiled => 2,
-    }
-}
-
-fn dec(v: u8) -> Option<KernelTier> {
-    match v {
-        1 => Some(KernelTier::Naive),
-        2 => Some(KernelTier::Tiled),
-        _ => None,
-    }
-}
-
-/// The tier forced by `GCWC_KERNEL_TIER`, if set to a recognised value.
-pub fn env_tier() -> Option<KernelTier> {
-    *ENV_TIER.get_or_init(|| match std::env::var("GCWC_KERNEL_TIER") {
-        Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-            "naive" => Some(KernelTier::Naive),
-            "tiled" => Some(KernelTier::Tiled),
-            _ => None,
-        },
-        Err(_) => None,
-    })
-}
-
-/// Resolves the tier a kernel with `work` multiply-adds will use right
-/// now on this thread (see the module docs for the priority order).
-pub fn resolve(work: usize) -> KernelTier {
-    if let Some(t) = env_tier() {
-        return t;
-    }
-    if let Some(t) = dec(TIER_OVERRIDE.with(Cell::get)) {
-        return t;
-    }
-    if let Some(t) = dec(GLOBAL_TIER.load(Ordering::Relaxed)) {
-        return t;
-    }
-    if let Some(t) = dec(TIER_DEFAULT.with(Cell::get)) {
-        return t;
-    }
+/// The loop a product with `work` multiply-adds runs.
+pub(crate) fn resolve(work: usize) -> KernelTier {
     if work >= TILED_MIN_WORK {
         KernelTier::Tiled
     } else {
         KernelTier::Naive
     }
-}
-
-/// Sets the process-global tier (`None` re-enables automatic
-/// selection). `GCWC_KERNEL_TIER` and [`with_tier`] still take
-/// precedence.
-pub fn set_global_tier(tier: Option<KernelTier>) {
-    GLOBAL_TIER.store(tier.map_or(0, enc), Ordering::Relaxed);
-}
-
-/// Runs `f` with this thread's kernel tier forced to `tier` (restored
-/// afterwards, panic-safe; nested calls stack). `GCWC_KERNEL_TIER`
-/// still wins — CI uses the environment to force one tier through
-/// everything, including code under `with_tier`.
-pub fn with_tier<T>(tier: KernelTier, f: impl FnOnce() -> T) -> T {
-    struct Restore(u8);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            TIER_OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let previous = TIER_OVERRIDE.with(|c| c.replace(enc(tier)));
-    let _restore = Restore(previous);
-    f()
-}
-
-/// Runs `f` with `tier` installed as this thread's *default* tier —
-/// consulted only when neither the environment, nor [`with_tier`], nor
-/// [`set_global_tier`] forces a choice. This is the plan-time hook: the
-/// encoder wraps its forward passes in the tier its `ConvPlan` picked,
-/// without overriding anything a test or bench explicitly forced.
-pub fn with_default_tier<T>(tier: KernelTier, f: impl FnOnce() -> T) -> T {
-    struct Restore(u8);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            TIER_DEFAULT.with(|c| c.set(self.0));
-        }
-    }
-    let previous = TIER_DEFAULT.with(|c| c.replace(enc(tier)));
-    let _restore = Restore(previous);
-    f()
 }
 
 /// Instantiates a tiled chunk kernel twice — once for the baseline
@@ -479,81 +360,51 @@ mod tests {
         })
     }
 
-    #[test]
-    fn for_nodes_thresholds() {
-        assert_eq!(KernelTier::for_nodes(172), KernelTier::Naive);
-        assert_eq!(KernelTier::for_nodes(TILED_MIN_NODES), KernelTier::Tiled);
-        assert_eq!(KernelTier::for_nodes(8600), KernelTier::Tiled);
+    /// Runs a chunk `kernel` over an output of `rows × cols` in two
+    /// chunks split at `rows / 2`, as `par_rows` hands them to two
+    /// threads; the buffer starts as NaN so a missed element shows.
+    fn chunked(rows: usize, cols: usize, kernel: impl Fn(usize, &mut [f64])) -> Vec<u64> {
+        let mut out = vec![f64::NAN; rows * cols];
+        let (head, tail) = out.split_at_mut(rows / 2 * cols);
+        kernel(0, head);
+        kernel(rows / 2, tail);
+        out.iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]
-    fn resolution_precedence() {
-        match env_tier() {
-            // Under GCWC_KERNEL_TIER the environment wins over everything.
-            Some(forced) => {
-                with_tier(KernelTier::Naive, || assert_eq!(resolve(usize::MAX), forced));
-                with_tier(KernelTier::Tiled, || assert_eq!(resolve(0), forced));
-                with_default_tier(KernelTier::Tiled, || assert_eq!(resolve(0), forced));
-            }
-            None => {
-                // Auto: by work size.
-                assert_eq!(resolve(0), KernelTier::Naive);
-                assert_eq!(resolve(TILED_MIN_WORK), KernelTier::Tiled);
-                // Default beats auto, override beats default, and an
-                // outer override survives an inner default.
-                with_default_tier(KernelTier::Tiled, || {
-                    assert_eq!(resolve(0), KernelTier::Tiled);
-                    with_tier(KernelTier::Naive, || {
-                        assert_eq!(resolve(usize::MAX), KernelTier::Naive);
-                    });
-                    assert_eq!(resolve(0), KernelTier::Tiled);
-                });
-                with_tier(KernelTier::Naive, || {
-                    with_default_tier(KernelTier::Tiled, || {
-                        assert_eq!(resolve(usize::MAX), KernelTier::Naive);
-                    });
-                });
-                assert_eq!(resolve(0), KernelTier::Naive);
-            }
-        }
-    }
-
-    #[test]
-    fn with_tier_restores_on_panic() {
-        if env_tier().is_some() {
-            return;
-        }
-        let result = std::panic::catch_unwind(|| with_tier(KernelTier::Tiled, || panic!("boom")));
-        assert!(result.is_err());
+    fn resolve_picks_the_loop_by_work() {
         assert_eq!(resolve(0), KernelTier::Naive);
+        assert_eq!(resolve(TILED_MIN_WORK - 1), KernelTier::Naive);
+        assert_eq!(resolve(TILED_MIN_WORK), KernelTier::Tiled);
+        assert_eq!(resolve(usize::MAX), KernelTier::Tiled);
     }
 
     #[test]
     fn tiled_matmul_bit_matches_naive_across_shapes() {
         // Sizes straddling the 4×8 tile: exact multiples, ragged tails,
-        // and degenerate single rows/columns.
+        // and degenerate single rows/columns. All are below
+        // TILED_MIN_WORK, so the public kernels run their naive loops.
         for (m, k, n) in
             [(1, 1, 1), (4, 8, 8), (5, 3, 9), (12, 16, 8), (13, 7, 17), (33, 12, 1), (1, 20, 31)]
         {
+            assert!(m * k * n < TILED_MIN_WORK);
             let a = messy(m, k, 1);
             let b = messy(k, n, 2);
-            let naive = with_tier(KernelTier::Naive, || a.matmul(&b));
-            let tiled = with_tier(KernelTier::Tiled, || a.matmul(&b));
-            assert_eq!(bits(&naive), bits(&tiled), "nn {m}x{k}x{n}");
+            let naive = a.matmul(&b);
+            let tiled = chunked(m, n, |start, chunk| matmul_nn_chunk(&a, &b, start, chunk));
+            assert_eq!(bits(&naive), tiled, "nn {m}x{k}x{n}");
 
             let c = messy(n, k, 4); // a(m,k) · c(n,k)ᵀ → (m,n)
-            let mut nt_n = Matrix::filled(m, n, f64::NAN);
-            let mut nt_t = Matrix::filled(m, n, f64::NAN);
-            with_tier(KernelTier::Naive, || a.matmul_nt_into(&c, &mut nt_n));
-            with_tier(KernelTier::Tiled, || a.matmul_nt_into(&c, &mut nt_t));
-            assert_eq!(bits(&nt_n), bits(&nt_t), "nt {m}x{k}x{n}");
+            let mut naive = Matrix::filled(m, n, f64::NAN);
+            a.matmul_nt_into(&c, &mut naive);
+            let tiled = chunked(m, n, |start, chunk| matmul_nt_chunk(&a, &c, start, chunk));
+            assert_eq!(bits(&naive), tiled, "nt {m}x{k}x{n}");
 
             let e = messy(m, n, 5); // a(m,k)ᵀ · e(m,n) → (k,n)
-            let mut tn_n = Matrix::filled(k, n, f64::NAN);
-            let mut tn_t = Matrix::filled(k, n, f64::NAN);
-            with_tier(KernelTier::Naive, || a.matmul_tn_into(&e, &mut tn_n));
-            with_tier(KernelTier::Tiled, || a.matmul_tn_into(&e, &mut tn_t));
-            assert_eq!(bits(&tn_n), bits(&tn_t), "tn {m}x{k}x{n}");
+            let mut naive = Matrix::filled(k, n, f64::NAN);
+            a.matmul_tn_into(&e, &mut naive);
+            let tiled = chunked(k, n, |start, chunk| matmul_tn_chunk(&a, &e, start, chunk));
+            assert_eq!(bits(&naive), tiled, "tn {m}x{k}x{n}");
         }
     }
 
@@ -561,15 +412,34 @@ mod tests {
     fn zero_skip_is_preserved_for_non_finite_operands() {
         // Skipping a zero `a` term must remain a skip in the tiled
         // kernels: adding `0.0 · inf = NaN` would poison the element.
-        let mut a = Matrix::zeros(5, 9);
+        // Nine rows split into chunks of 4 and 5, so both chunks run
+        // full 4×8 tiles as well as ragged ones.
+        let mut a = Matrix::zeros(9, 9);
         a[(0, 3)] = 2.0;
         a[(4, 8)] = -1.5;
-        let mut b = messy(9, 10, 9);
-        b[(0, 0)] = f64::INFINITY;
-        b[(1, 1)] = f64::NAN;
-        let naive = with_tier(KernelTier::Naive, || a.matmul(&b));
-        let tiled = with_tier(KernelTier::Tiled, || a.matmul(&b));
-        assert_eq!(bits(&naive), bits(&tiled));
+        a[(8, 1)] = 0.5;
+        let poison = |mut m: Matrix| {
+            m[(0, 0)] = f64::INFINITY;
+            m[(1, 1)] = f64::NAN;
+            m[(2, 2)] = f64::NEG_INFINITY;
+            m
+        };
+        let b = poison(messy(9, 10, 9));
+        let naive = a.matmul(&b);
+        let tiled = chunked(9, 10, |start, chunk| matmul_nn_chunk(&a, &b, start, chunk));
+        assert_eq!(bits(&naive), tiled, "nn");
         assert!(naive[(1, 0)] == 0.0, "fully-skipped row stays exactly zero");
+
+        let c = poison(messy(10, 9, 10)); // a · cᵀ
+        let mut naive = Matrix::filled(9, 10, f64::NAN);
+        a.matmul_nt_into(&c, &mut naive);
+        let tiled = chunked(9, 10, |start, chunk| matmul_nt_chunk(&a, &c, start, chunk));
+        assert_eq!(bits(&naive), tiled, "nt");
+
+        let e = poison(messy(9, 10, 11)); // aᵀ · e
+        let mut naive = Matrix::filled(9, 10, f64::NAN);
+        a.matmul_tn_into(&e, &mut naive);
+        let tiled = chunked(9, 10, |start, chunk| matmul_tn_chunk(&a, &e, start, chunk));
+        assert_eq!(bits(&naive), tiled, "tn");
     }
 }

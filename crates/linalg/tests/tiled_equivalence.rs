@@ -1,31 +1,38 @@
-//! Property-test net for the kernel-tier contract: the tiled kernels
-//! must be `to_bits`-identical to the naive kernels for every input,
-//! every thread count, and every tier-forcing mechanism.
+//! Property-test net for the tiled kernels' contract: whichever loop a
+//! product's size picks, every public kernel must be `to_bits`-identical
+//! to a hand-written reference loop in this file with the naive
+//! kernel's exact accumulation order (ascending `k` from `0.0`,
+//! skipping `a == 0.0` terms), at every thread count.
 //!
-//! Each case compares three computations per kernel:
-//! 1. the kernel with the tier forced to naive (`with_tier`),
-//! 2. the kernel with the tier forced to tiled (`with_tier`),
-//! 3. a hand-written reference loop in this file with the naive
-//!    kernel's exact accumulation order (ascending `k` from `0.0`,
-//!    skipping `a == 0.0` terms).
-//!
-//! CI additionally runs this suite under both `GCWC_KERNEL_TIER`
-//! values; the environment outranks `with_tier`, so under forcing the
-//! first two computations collapse to one tier — the reference loop
-//! (3) keeps the comparison meaningful either way.
-//!
-//! Sizes deliberately straddle the 4×8 tile (n ∈ {1, 7, 96, 171, 301},
-//! none a multiple of the tile width) and run at 1 and 4 threads.
+//! The dense shapes sit on both sides of `TILED_MIN_WORK`, so each case
+//! runs both the naive and the tiled loop. Above the threshold they
+//! include 1-, 2- and 3-row products and column counts that are not a
+//! multiple of the 8-wide tile. Every shape runs at 1 and 4 threads.
 
 use gcwc_linalg::parallel::with_threads;
-use gcwc_linalg::tile::{with_tier, KernelTier};
+use gcwc_linalg::tile::TILED_MIN_WORK;
 use gcwc_linalg::{CsrMatrix, Matrix};
 use proptest::prelude::*;
 
+/// `(rows, inner, cols)` of the dense products: below the threshold,
+/// then at or above it.
+const SHAPES: [(usize, usize, usize); 12] = [
+    (1, 9, 1),
+    (7, 9, 7),
+    (13, 7, 17),
+    (2, 128, 127),
+    (2, 128, 128),
+    (1, 200, 171),
+    (3, 100, 111),
+    (4, 64, 130),
+    (96, 9, 96),
+    (171, 9, 171),
+    (301, 9, 301),
+    (33, 40, 29),
+];
+/// Node counts of the CSR cases.
 const SIZES: [usize; 5] = [1, 7, 96, 171, 301];
 const THREADS: [usize; 2] = [1, 4];
-/// Inner dimension for the dense cases; not a multiple of 4 or 8.
-const KDIM: usize = 9;
 
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -136,100 +143,80 @@ fn ref_csr_matmul(m: &CsrMatrix, rhs: &Matrix) -> Matrix {
     out
 }
 
+#[test]
+fn shapes_straddle_the_threshold() {
+    let below = SHAPES.iter().filter(|&&(m, k, n)| m * k * n < TILED_MIN_WORK).count();
+    assert!(below > 0 && below < SHAPES.len());
+    assert!(SHAPES.contains(&(2, 128, 128)) && 2 * 128 * 128 == TILED_MIN_WORK);
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(4))]
 
     #[test]
-    fn matmul_tiers_bit_identical(
-        n_idx in 0usize..SIZES.len(),
-        t_idx in 0usize..THREADS.len(),
-        seed in 0u64..u64::MAX,
-    ) {
-        let n = SIZES[n_idx];
-        let a = gen(n, KDIM, seed);
-        let b = gen(KDIM, n, seed ^ 1);
-        let reference = ref_matmul(&a, &b);
-        with_threads(THREADS[t_idx], || {
-            let naive = with_tier(KernelTier::Naive, || a.matmul(&b));
-            let tiled = with_tier(KernelTier::Tiled, || a.matmul(&b));
-            prop_assert_eq!(bits(&naive), bits(&reference), "naive vs reference, n={}", n);
-            prop_assert_eq!(bits(&tiled), bits(&reference), "tiled vs reference, n={}", n);
-
-            let mut out = Matrix::filled(n, n, f64::NAN); // stale buffer
-            with_tier(KernelTier::Tiled, || a.matmul_into(&b, &mut out));
-            prop_assert_eq!(bits(&out), bits(&reference), "tiled matmul_into, n={}", n);
-            Ok(())
-        })?;
+    fn matmul_matches_reference(seed in 0u64..u64::MAX) {
+        for (m, k, n) in SHAPES {
+            let a = gen(m, k, seed);
+            let b = gen(k, n, seed ^ 1);
+            let reference = bits(&ref_matmul(&a, &b));
+            for threads in THREADS {
+                with_threads(threads, || {
+                    prop_assert_eq!(bits(&a.matmul(&b)), reference.clone(), "{}x{}x{}", m, k, n);
+                    let mut out = Matrix::filled(m, n, f64::NAN); // stale buffer
+                    a.matmul_into(&b, &mut out);
+                    prop_assert_eq!(bits(&out), reference.clone(), "into {}x{}x{}", m, k, n);
+                    Ok(())
+                })?;
+            }
+        }
     }
 
     #[test]
-    fn matmul_nt_into_tiers_bit_identical(
-        n_idx in 0usize..SIZES.len(),
-        t_idx in 0usize..THREADS.len(),
-        seed in 0u64..u64::MAX,
-    ) {
-        let n = SIZES[n_idx];
-        let a = gen(n, KDIM, seed);
-        let c = gen(n, KDIM, seed ^ 2);
-        let reference = ref_matmul_nt(&a, &c);
-        with_threads(THREADS[t_idx], || {
-            let mut naive = Matrix::filled(n, n, f64::NAN);
-            let mut tiled = Matrix::filled(n, n, f64::NAN);
-            with_tier(KernelTier::Naive, || a.matmul_nt_into(&c, &mut naive));
-            with_tier(KernelTier::Tiled, || a.matmul_nt_into(&c, &mut tiled));
-            prop_assert_eq!(bits(&naive), bits(&reference), "naive vs reference, n={}", n);
-            prop_assert_eq!(bits(&tiled), bits(&reference), "tiled vs reference, n={}", n);
-            Ok(())
-        })?;
+    fn matmul_nt_into_matches_reference(seed in 0u64..u64::MAX) {
+        for (m, k, n) in SHAPES {
+            let a = gen(m, k, seed);
+            let c = gen(n, k, seed ^ 2);
+            let reference = bits(&ref_matmul_nt(&a, &c));
+            for threads in THREADS {
+                let mut out = Matrix::filled(m, n, f64::NAN);
+                with_threads(threads, || a.matmul_nt_into(&c, &mut out));
+                prop_assert_eq!(bits(&out), reference.clone(), "{}x{}x{}", m, k, n);
+            }
+        }
     }
 
     #[test]
-    fn matmul_tn_into_tiers_bit_identical(
-        n_idx in 0usize..SIZES.len(),
-        t_idx in 0usize..THREADS.len(),
-        seed in 0u64..u64::MAX,
-    ) {
-        let n = SIZES[n_idx];
-        let a = gen(KDIM, n, seed ^ 3);
-        let b = gen(KDIM, n, seed ^ 4);
-        let reference = ref_matmul_tn(&a, &b);
-        with_threads(THREADS[t_idx], || {
-            let mut naive = Matrix::filled(n, n, f64::NAN);
-            let mut tiled = Matrix::filled(n, n, f64::NAN);
-            with_tier(KernelTier::Naive, || a.matmul_tn_into(&b, &mut naive));
-            with_tier(KernelTier::Tiled, || a.matmul_tn_into(&b, &mut tiled));
-            prop_assert_eq!(bits(&naive), bits(&reference), "naive vs reference, n={}", n);
-            prop_assert_eq!(bits(&tiled), bits(&reference), "tiled vs reference, n={}", n);
-            Ok(())
-        })?;
+    fn matmul_tn_into_matches_reference(seed in 0u64..u64::MAX) {
+        for (m, k, n) in SHAPES {
+            // aᵀ·b with `a` of k × m, so the output has m rows.
+            let a = gen(k, m, seed ^ 3);
+            let b = gen(k, n, seed ^ 4);
+            let reference = bits(&ref_matmul_tn(&a, &b));
+            for threads in THREADS {
+                let mut out = Matrix::filled(m, n, f64::NAN);
+                with_threads(threads, || a.matmul_tn_into(&b, &mut out));
+                prop_assert_eq!(bits(&out), reference.clone(), "{}x{}x{}", m, k, n);
+            }
+        }
     }
 
     #[test]
-    fn csr_matmul_dense_into_tiers_bit_identical(
-        n_idx in 0usize..SIZES.len(),
-        t_idx in 0usize..THREADS.len(),
-        seed in 0u64..u64::MAX,
-    ) {
-        let n = SIZES[n_idx];
-        let m = gen_csr(n, seed ^ 5);
-        let rhs = gen(n, 8, seed ^ 6);
-        let reference = ref_csr_matmul(&m, &rhs);
-        with_threads(THREADS[t_idx], || {
-            let mut naive = Matrix::filled(n, 8, f64::NAN);
-            let mut tiled = Matrix::filled(n, 8, f64::NAN);
-            with_tier(KernelTier::Naive, || m.matmul_dense_into(&rhs, &mut naive));
-            with_tier(KernelTier::Tiled, || m.matmul_dense_into(&rhs, &mut tiled));
-            prop_assert_eq!(bits(&naive), bits(&reference), "naive vs reference, n={}", n);
-            prop_assert_eq!(bits(&tiled), bits(&reference), "tiled vs reference, n={}", n);
-
-            // The fused Chebyshev step must reorder rows identically.
+    fn csr_kernels_match_reference(seed in 0u64..u64::MAX) {
+        for n in SIZES {
+            let m = gen_csr(n, seed ^ 5);
+            let rhs = gen(n, 8, seed ^ 6);
             let prev = gen(n, 8, seed ^ 7);
-            let mut step_n = Matrix::filled(n, 8, f64::NAN);
-            let mut step_t = Matrix::filled(n, 8, f64::NAN);
-            with_tier(KernelTier::Naive, || m.cheb_step_into(&rhs, &prev, &mut step_n));
-            with_tier(KernelTier::Tiled, || m.cheb_step_into(&rhs, &prev, &mut step_t));
-            prop_assert_eq!(bits(&step_n), bits(&step_t), "cheb_step_into tiers, n={}", n);
-            Ok(())
-        })?;
+            let product = ref_csr_matmul(&m, &rhs);
+            let reference = bits(&product);
+            // The fused Chebyshev step is `2·(A·x) − prev`, elementwise.
+            let step = bits(&Matrix::from_fn(n, 8, |i, j| product[(i, j)] * 2.0 - prev[(i, j)]));
+            for threads in THREADS {
+                let mut out = Matrix::filled(n, 8, f64::NAN);
+                with_threads(threads, || m.matmul_dense_into(&rhs, &mut out));
+                prop_assert_eq!(bits(&out), reference.clone(), "matmul_dense_into, n={}", n);
+                with_threads(threads, || m.cheb_step_into(&rhs, &prev, &mut out));
+                prop_assert_eq!(bits(&out), step.clone(), "cheb_step_into, n={}", n);
+            }
+        }
     }
 }

@@ -334,7 +334,7 @@ const PRODUCT_COLS: usize = 1024;
 /// [`ParamStore::accumulate_grad`], one product after another: every
 /// element forms each product `Σ_k x[k,i]·g[k,j]` from `0.0` in
 /// ascending-`k` order, skipping the `x[k,i] == 0` terms exactly as
-/// `matmul_tn_into` does in both kernel tiers, and adds it to the
+/// `matmul_tn_into` does in either of its loops, and adds it to the
 /// element before the next product. Only the loops over elements are
 /// reordered: `dst` is walked row by row, and each row segment of a
 /// product is built in a stack buffer, streaming rows of `g`.

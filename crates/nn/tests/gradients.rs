@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use gcwc_graph::{ChebyshevBasis, PoolingMap, RandomWalkBasis};
 use gcwc_linalg::rng::seeded;
-use gcwc_linalg::tile::{with_tier, KernelTier};
+use gcwc_linalg::tile::TILED_MIN_WORK;
 use gcwc_linalg::{CsrMatrix, Matrix};
 use gcwc_nn::gradcheck::{assert_gradients, assert_gradients_buffered};
 use gcwc_nn::{ConvSpec, Dense, GradBuffer, NodeId, ParamStore, PoolSpec, Tape};
@@ -769,14 +769,19 @@ fn tn_product(x: &Matrix, g: &Matrix) -> Matrix {
     m
 }
 
-/// One case of `factored_dense_gradients_match_the_materialised_composition`
-/// under kernel tier `tier`.
-fn factored_case(seed: u64, tier: KernelTier) -> Result<(), TestCaseError> {
+/// One case of `factored_dense_gradients_match_the_materialised_composition`.
+fn factored_case(seed: u64) -> Result<(), TestCaseError> {
     let mut rng = seeded(seed);
     // The tape asserts finite values in debug builds, so ±∞ and NaN
     // reach it only in release builds (CI runs both).
     let non_finite = !cfg!(debug_assertions);
-    let (fan_in, fan_out) = (rng.random_range(1..41usize), rng.random_range(1..41usize));
+    // One case in four sizes every `xᵀ·g` at or above TILED_MIN_WORK,
+    // so the reference `matmul_tn_into` runs its tiled loop; the others
+    // stay below it and run the naive one.
+    let large = rng.random_range(0..4usize) == 0;
+    let dims = if large { 40..73usize } else { 1..41 };
+    let (fan_in, fan_out) = (rng.random_range(dims.clone()), rng.random_range(dims));
+    let min_rows = if large { TILED_MIN_WORK.div_ceil(fan_in * fan_out) } else { 1 };
     let samples = rng.random_range(1..6usize);
     let twice = rng.random_range(0..samples);
     let mut store = ParamStore::new();
@@ -785,7 +790,7 @@ fn factored_case(seed: u64, tier: KernelTier) -> Result<(), TestCaseError> {
     for s in 0..samples {
         let mut apps = Vec::new();
         for _ in 0..if s == twice { 2 } else { 1 } {
-            let rows = rng.random_range(1..10usize);
+            let rows = rng.random_range(min_rows..min_rows + 9);
             let x = Matrix::from_fn(rows, fan_in, |_, _| factor_entry(&mut rng, non_finite));
             let g = Matrix::from_fn(rows, fan_out, |_, _| factor_entry(&mut rng, non_finite));
             apps.push((x, g));
@@ -793,55 +798,53 @@ fn factored_case(seed: u64, tier: KernelTier) -> Result<(), TestCaseError> {
         batch.push(apps);
     }
 
-    with_tier(tier, || {
-        // The composition before factoring: each application's product
-        // materialised, in the order backward visits them (the last
-        // application first), then added with `accumulate_grad` in
-        // sample order — through a per-sample buffer slot, or straight
-        // into the store.
-        let mut via_buffer = store.clone();
-        let mut via_store = store.clone();
-        for apps in &batch {
-            let mut slot: Option<Matrix> = None;
-            for (x, g) in apps.iter().rev() {
-                let product = tn_product(x, g);
-                via_store.accumulate_grad(dense.w, &product);
-                match &mut slot {
-                    Some(acc) => acc.add_assign(&product),
-                    None => slot = Some(product),
-                }
+    // The composition before factoring: each application's product
+    // materialised, in the order backward visits them (the last
+    // application first), then added with `accumulate_grad` in
+    // sample order — through a per-sample buffer slot, or straight
+    // into the store.
+    let mut via_buffer = store.clone();
+    let mut via_store = store.clone();
+    for apps in &batch {
+        let mut slot: Option<Matrix> = None;
+        for (x, g) in apps.iter().rev() {
+            let product = tn_product(x, g);
+            via_store.accumulate_grad(dense.w, &product);
+            match &mut slot {
+                Some(acc) => acc.add_assign(&product),
+                None => slot = Some(product),
             }
-            via_buffer.accumulate_grad(dense.w, &slot.expect("one application at least"));
         }
+        via_buffer.accumulate_grad(dense.w, &slot.expect("one application at least"));
+    }
 
-        let mut tape = Tape::new();
-        let mut buffers = vec![GradBuffer::new(); samples];
-        let mut direct = store.clone();
-        for (apps, buffer) in batch.iter().zip(&mut buffers) {
-            tape.reset();
-            let loss = dense_sample_loss(&mut tape, &store, &dense, apps);
-            tape.backward(loss, buffer);
-            tape.reset();
-            let loss = dense_sample_loss(&mut tape, &store, &dense, apps);
-            tape.backward(loss, &mut direct);
-        }
-        let mut batched = store.clone();
-        GradBuffer::merge_batch(&buffers, &mut batched);
-        let mut one_by_one = store.clone();
-        for buffer in &buffers {
-            buffer.merge_into(&mut one_by_one);
-        }
+    let mut tape = Tape::new();
+    let mut buffers = vec![GradBuffer::new(); samples];
+    let mut direct = store.clone();
+    for (apps, buffer) in batch.iter().zip(&mut buffers) {
+        tape.reset();
+        let loss = dense_sample_loss(&mut tape, &store, &dense, apps);
+        tape.backward(loss, buffer);
+        tape.reset();
+        let loss = dense_sample_loss(&mut tape, &store, &dense, apps);
+        tape.backward(loss, &mut direct);
+    }
+    let mut batched = store.clone();
+    GradBuffer::merge_batch(&buffers, &mut batched);
+    let mut one_by_one = store.clone();
+    for buffer in &buffers {
+        buffer.merge_into(&mut one_by_one);
+    }
 
-        let want = bits_nan_alike(via_buffer.grad(dense.w));
-        prop_assert_eq!(bits_nan_alike(batched.grad(dense.w)), want.clone(), "batch merge");
-        prop_assert_eq!(bits_nan_alike(one_by_one.grad(dense.w)), want, "merge_into");
-        prop_assert_eq!(
-            bits_nan_alike(direct.grad(dense.w)),
-            bits_nan_alike(via_store.grad(dense.w)),
-            "backward into the store"
-        );
-        Ok(())
-    })
+    let want = bits_nan_alike(via_buffer.grad(dense.w));
+    prop_assert_eq!(bits_nan_alike(batched.grad(dense.w)), want.clone(), "batch merge");
+    prop_assert_eq!(bits_nan_alike(one_by_one.grad(dense.w)), want, "merge_into");
+    prop_assert_eq!(
+        bits_nan_alike(direct.grad(dense.w)),
+        bits_nan_alike(via_store.grad(dense.w)),
+        "backward into the store"
+    );
+    Ok(())
 }
 
 proptest! {
@@ -852,10 +855,10 @@ proptest! {
     /// `merge_into` one buffer at a time, and `backward` straight into a
     /// `ParamStore`. Inputs hold exact zeros (the skipped terms), `−0.0`
     /// and, in release builds, `±∞` and NaN; one sample applies the
-    /// layer twice. Both kernel tiers form the reference.
+    /// layer twice. Some cases are large enough that the reference
+    /// products run the tiled loop.
     #[test]
     fn factored_dense_gradients_match_the_materialised_composition(seed in 0u64..u64::MAX) {
-        factored_case(seed, KernelTier::Naive)?;
-        factored_case(seed, KernelTier::Tiled)?;
+        factored_case(seed)?;
     }
 }
