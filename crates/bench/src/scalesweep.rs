@@ -144,7 +144,7 @@ fn training_step(
     tape.backward(loss, buffer);
     buffer.merge_into(store);
     store.scale_grads(1.0);
-    adam.step(store);
+    assert!(adam.step(store), "a clean training step must be applied");
 }
 
 /// Steady-state training-step time and allocations for one GCWC model:

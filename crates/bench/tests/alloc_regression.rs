@@ -67,7 +67,7 @@ fn training_step(
     tape.backward(loss, buffer);
     buffer.merge_into(store);
     store.scale_grads(1.0);
-    adam.step(store);
+    assert!(adam.step(store), "a clean training step must be applied");
 }
 
 #[test]

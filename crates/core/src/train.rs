@@ -25,14 +25,16 @@
 //!
 //! Debug builds assert non-finite tape values at the op that produces
 //! them; release builds — where real training runs — instead get a
-//! per-batch guard: a batch whose loss, merged gradient, or post-step
-//! parameters are non-finite is **rolled back** (the optimizer step is
-//! undone from a snapshot taken just before it), the batch is retried
-//! with freshly drawn per-sample seeds, and after
+//! per-batch guard. A batch is accepted only when its losses are
+//! finite and [`Adam::step`] wrote its update, which it does only when
+//! every updated parameter value is finite (a non-finite gradient
+//! always makes some updated value non-finite). A rejected step writes
+//! nothing, so there is nothing to undo: the batch is retried with
+//! freshly drawn per-sample seeds, and after
 //! [`TrainControl::max_bad_batches`] consecutive failures the run
 //! aborts with [`TrainError::Diverged`] instead of silently training a
 //! poisoned model. Clean batches take the exact same numeric path as
-//! before the guard existed — the checks are pure reads and consume no
+//! an unguarded step — the check is a pure read and consumes no
 //! randomness — so guarded training is bit-identical to unguarded
 //! training whenever nothing diverges.
 //!
@@ -49,7 +51,6 @@ use std::path::PathBuf;
 
 use gcwc_linalg::parallel::{self, Threads};
 use gcwc_linalg::rng::{seeded, shuffle};
-use gcwc_linalg::Matrix;
 use gcwc_nn::{Adam, AdamState, GradBuffer, NodeId, ParamStore, PersistError, Tape};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -61,9 +62,10 @@ use crate::trainstate::TrainState;
 /// `gcwc_failpoint`; inert unless the `failpoints` feature is enabled
 /// *and* the site is armed).
 pub mod failsite {
-    /// Evaluated after each applied optimizer step: a triggered site
-    /// marks the update as diverged (as a non-finite step would),
-    /// exercising the rollback-and-retry path deterministically.
+    /// Evaluated before each optimizer step whose batch losses are
+    /// finite: a triggered site rejects the batch before the step
+    /// writes anything (as a non-finite update would), exercising the
+    /// retry path deterministically.
     pub const TRAIN_STEP: &str = "train.step";
     /// Training-state checkpoint write: a triggered site fails the
     /// write with an injected I/O error.
@@ -89,7 +91,8 @@ impl TrainReport {
 pub enum TrainError {
     /// One mini-batch produced a non-finite loss, gradient, or
     /// parameter on [`TrainControl::max_bad_batches`] consecutive
-    /// attempts; the store holds the last good (rolled-back) state.
+    /// attempts; the store holds the parameters of the last accepted
+    /// step, since a rejected step writes nothing.
     Diverged {
         /// Epoch in which the batch diverged.
         epoch: usize,
@@ -264,11 +267,6 @@ pub fn run_training_guarded(
     let mut buffers: Vec<GradBuffer> = Vec::new();
     let mut seeds: Vec<u64> = Vec::new();
     let mut losses: Vec<f64> = Vec::new();
-    // Rollback snapshot: parameter values and optimizer state captured
-    // immediately before each optimizer step, into buffers that persist
-    // across batches (the steady-state copy allocates nothing).
-    let mut snap_params: Vec<Matrix> = Vec::new();
-    let mut snap_adam = AdamState::default();
     for epoch in start_epoch..epochs {
         shuffle(rng, &mut order);
         let mut epoch_loss = 0.0;
@@ -304,23 +302,18 @@ pub fn run_training_guarded(
                 }
                 GradBuffer::merge_batch(&buffers[..batch.len()], store);
                 store.scale_grads(1.0 / batch.len() as f64);
-                // Pre-step guard: a non-finite loss or gradient means
-                // the update must not be applied at all. Nothing has
-                // mutated parameters yet, so no rollback is needed —
-                // the next attempt re-zeroes the gradients.
-                if losses.iter().all(|l| l.is_finite()) && grads_finite(store) {
-                    snapshot_params(store, &mut snap_params);
-                    adam.save_state(&mut snap_adam);
-                    adam.step(store);
-                    // Post-step guard: even finite gradients can push a
-                    // parameter over the edge; the TRAIN_STEP failpoint
-                    // poisons an otherwise-healthy step the same way.
-                    if params_finite(store) && !gcwc_failpoint::triggered(failsite::TRAIN_STEP) {
-                        epoch_loss += batch_loss;
-                        break;
-                    }
-                    restore_params(store, &snap_params);
-                    adam.restore_state(&snap_adam);
+                // Accept the batch only when its losses are finite, the
+                // TRAIN_STEP failpoint lets it through, and the step
+                // wrote (it writes nothing when an updated value would be
+                // non-finite). A rejected batch leaves parameters and
+                // moments untouched; the next attempt re-zeroes the
+                // gradients.
+                if losses.iter().all(|l| l.is_finite())
+                    && !gcwc_failpoint::triggered(failsite::TRAIN_STEP)
+                    && adam.step(store)
+                {
+                    epoch_loss += batch_loss;
+                    break;
                 }
                 bad_batches += 1;
                 if bad_batches >= control.max_bad_batches {
@@ -368,35 +361,6 @@ fn save_checkpoint(
     };
     state.save_atomic(&plan.path)?;
     Ok(())
-}
-
-/// True when every accumulated gradient entry is finite.
-fn grads_finite(store: &ParamStore) -> bool {
-    store.iter().all(|(_, p)| p.grad.as_slice().iter().all(|v| v.is_finite()))
-}
-
-/// True when every parameter value is finite.
-fn params_finite(store: &ParamStore) -> bool {
-    store.iter().all(|(_, p)| p.value.as_slice().iter().all(|v| v.is_finite()))
-}
-
-/// Copies parameter values into `dst`, reusing its buffers after the
-/// first batch (shapes never change within a run).
-fn snapshot_params(store: &ParamStore, dst: &mut Vec<Matrix>) {
-    if dst.is_empty() {
-        dst.extend(store.iter().map(|(_, p)| p.value.clone()));
-    } else {
-        for (m, (_, p)) in dst.iter_mut().zip(store.iter()) {
-            m.copy_from(&p.value);
-        }
-    }
-}
-
-/// Restores parameter values captured by [`snapshot_params`].
-fn restore_params(store: &mut ParamStore, src: &[Matrix]) {
-    for ((_, p), m) in store.iter_mut().zip(src) {
-        p.value.copy_from(m);
-    }
 }
 
 /// Builds the tape for one sample and runs its backward pass into the

@@ -41,7 +41,7 @@ pub use log::RecordLog;
 pub use pipeline::Pipeline;
 pub use record::SpeedRecord;
 pub use refresh::{RefreshConfig, RefreshDriver, RefreshOutcome, ShardedFactory};
-pub use tenants::{IngestLane, TenantLanes};
+pub use tenants::IngestLane;
 pub use window::{Aggregator, SealedSlot, WindowConfig};
 
 /// Failpoint site names this crate evaluates (see `gcwc_failpoint`;
@@ -84,8 +84,6 @@ pub enum IngestError {
     Train(gcwc::TrainError),
     /// An armed failpoint injected a failure at the named site.
     Injected(&'static str),
-    /// A record was routed to a tenant with no registered ingest lane.
-    UnknownTenant(u64),
     /// A record the window cannot fold was refused before it was
     /// logged: nothing was logged, folded or counted.
     InvalidRecord {
@@ -106,9 +104,6 @@ impl std::fmt::Display for IngestError {
             IngestError::Persist(e) => write!(f, "checkpoint error: {e}"),
             IngestError::Train(e) => write!(f, "fine-tune failed: {e}"),
             IngestError::Injected(site) => write!(f, "failpoint {site}: injected failure"),
-            IngestError::UnknownTenant(id) => {
-                write!(f, "tenant {id} has no registered ingest lane")
-            }
             IngestError::InvalidRecord { record, reason } => {
                 write!(f, "refused record {record:?}: {reason}")
             }

@@ -1,6 +1,8 @@
-//! Per-tenant ingestion lanes: each tenant (one city, one graph) runs
-//! its **own** [`Pipeline`] (durable log + sliding window) and its own
-//! [`RefreshDriver`] over its own model registry. Lanes share nothing
+//! Ingestion lanes: a lane is one tenant's (one city's, one graph's)
+//! **own** [`Pipeline`] (durable log + sliding window) and its own
+//! [`RefreshDriver`] over its own model registry. A process that
+//! ingests for several tenants holds one lane per tenant and hands each
+//! record to its tenant's lane. Lanes share nothing
 //! mutable, so one tenant's stream volume, sealing cadence, refresh
 //! rollbacks, or checkpoint failures cannot perturb another tenant's
 //! lane — the ingest-side mirror of the serving layer's per-tenant
@@ -10,10 +12,6 @@
 //! the record stream routed to it, so its refreshes are bit-identical
 //! to a single-tenant process fed the same stream, regardless of what
 //! other tenants do in between.
-
-use std::collections::BTreeMap;
-
-use gcwc_serve::TenantId;
 
 use crate::pipeline::Pipeline;
 use crate::record::SpeedRecord;
@@ -95,68 +93,5 @@ impl IngestLane {
     /// [`RefreshDriver::install_initial`]).
     pub fn driver_mut(&mut self) -> &mut RefreshDriver {
         &mut self.driver
-    }
-}
-
-/// The per-tenant lane table of a multi-tenant ingest process. Routing
-/// is by [`TenantId`]; a record addressed to an unregistered tenant is
-/// refused with [`IngestError::UnknownTenant`] and touches no lane.
-#[derive(Default)]
-pub struct TenantLanes {
-    lanes: BTreeMap<u64, IngestLane>,
-}
-
-impl TenantLanes {
-    /// An empty lane table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a tenant's lane.
-    ///
-    /// # Panics
-    /// Panics if `id` is already registered (mirrors
-    /// [`gcwc_serve::TenantRegistry::register`]).
-    pub fn register(&mut self, id: TenantId, lane: IngestLane) -> &mut IngestLane {
-        let prev = self.lanes.insert(id.0, lane);
-        assert!(prev.is_none(), "ingest lane for tenant {id} registered twice");
-        self.lanes.get_mut(&id.0).unwrap()
-    }
-
-    /// Looks a lane up by tenant id.
-    pub fn lane(&self, id: TenantId) -> Option<&IngestLane> {
-        self.lanes.get(&id.0)
-    }
-
-    /// Looks a lane up by tenant id, mutably.
-    pub fn lane_mut(&mut self, id: TenantId) -> Option<&mut IngestLane> {
-        self.lanes.get_mut(&id.0)
-    }
-
-    /// Routes one record to its tenant's lane.
-    pub fn ingest(&mut self, id: TenantId, rec: SpeedRecord) -> Result<bool, IngestError> {
-        self.lane_mut(id).ok_or(IngestError::UnknownTenant(id.0))?.ingest(rec)
-    }
-
-    /// Runs [`IngestLane::poll_refresh`] on every lane, ascending by
-    /// tenant id. One lane's error does not stop the sweep — lanes are
-    /// independent — so each tenant's outcome is reported separately.
-    pub fn poll_refresh_all(&mut self) -> Vec<(TenantId, Result<RefreshOutcome, IngestError>)> {
-        self.lanes.iter_mut().map(|(&id, lane)| (TenantId(id), lane.poll_refresh())).collect()
-    }
-
-    /// Registered tenant ids, ascending.
-    pub fn ids(&self) -> Vec<TenantId> {
-        self.lanes.keys().map(|&id| TenantId(id)).collect()
-    }
-
-    /// Number of registered lanes.
-    pub fn len(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// True when no lane is registered.
-    pub fn is_empty(&self) -> bool {
-        self.lanes.is_empty()
     }
 }

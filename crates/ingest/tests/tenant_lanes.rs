@@ -1,14 +1,14 @@
-//! Per-tenant ingest lanes: two tenants streaming through one
-//! [`TenantLanes`] table refresh independently, and each lane's
-//! refreshed model is bit-identical to a single-tenant process fed the
-//! same stream — interleaving with another tenant changes nothing.
+//! Per-tenant ingest lanes: two tenants streaming through their own
+//! [`IngestLane`]s refresh independently, and each lane's refreshed
+//! model is bit-identical to a single-tenant process fed the same
+//! stream — interleaving with another tenant changes nothing.
 
 use gcwc::{GcwcModel, ModelConfig, ShardedModel};
 use gcwc_ingest::{
-    Aggregator, IngestError, IngestLane, Pipeline, RecordLog, RefreshConfig, RefreshDriver,
-    RefreshOutcome, SpeedRecord, TenantLanes, WindowConfig,
+    Aggregator, IngestLane, Pipeline, RecordLog, RefreshConfig, RefreshDriver, RefreshOutcome,
+    SpeedRecord, WindowConfig,
 };
-use gcwc_serve::{AnyModel, Engine, EngineConfig, ModelRegistry, TenantId};
+use gcwc_serve::{AnyModel, Engine, EngineConfig, ModelRegistry};
 use gcwc_traffic::{generators, HistogramSpec};
 use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};
@@ -102,26 +102,14 @@ fn interleaved_tenants_refresh_independently_and_bit_identically() {
     let hw_a = generators::highway_tollgate(1);
     let hw_b = generators::city_network_sized(2, 48);
     let (na, nb) = (hw_a.graph.num_nodes(), hw_b.graph.num_nodes());
-    let (a, b) = (TenantId(1), TenantId(2));
 
     let dir_a = tmpdir("a");
     let dir_b = tmpdir("b");
-    let mut lanes = TenantLanes::new();
-    let (lane_a, reg_a) = make_lane(&hw_a.graph, &dir_a, 42);
-    let (lane_b, reg_b) = make_lane(&hw_b.graph, &dir_b, 43);
-    lanes.register(a, lane_a);
-    lanes.register(b, lane_b);
-    assert_eq!(lanes.ids(), vec![a, b]);
+    let (mut lane_a, reg_a) = make_lane(&hw_a.graph, &dir_a, 42);
+    let (mut lane_b, reg_b) = make_lane(&hw_b.graph, &dir_b, 43);
 
-    // A record for an unregistered tenant is refused and touches no
-    // lane.
-    match lanes.ingest(TenantId(9), SpeedRecord { edge: 0, timestamp: 0, speed: 1.0 }) {
-        Err(IngestError::UnknownTenant(9)) => {}
-        other => panic!("unregistered tenant must be refused, got {other:?}"),
-    }
-
-    // Interleave the two tenants' streams record by record — routing,
-    // not arrival order, decides which lane a record lands in.
+    // Interleave the two tenants' streams record by record: each record
+    // goes to its own tenant's lane, whatever arrives in between.
     let recs_a = records(na, 0..8, 7);
     let recs_b = records(nb, 0..8, 8);
     let mut ia = recs_a.iter();
@@ -131,46 +119,42 @@ fn interleaved_tenants_refresh_independently_and_bit_identically() {
             (None, None) => break,
             (ra, rb) => {
                 if let Some(&r) = ra {
-                    lanes.ingest(a, r).unwrap();
+                    lane_a.ingest(r).unwrap();
                 }
                 if let Some(&r) = rb {
-                    lanes.ingest(b, r).unwrap();
+                    lane_b.ingest(r).unwrap();
                 }
             }
         }
     }
-    for id in [a, b] {
-        lanes.lane_mut(id).unwrap().pipeline_mut().seal_all().unwrap();
-    }
-    let outcomes = lanes.poll_refresh_all();
-    assert_eq!(outcomes.len(), 2);
-    for (id, outcome) in outcomes {
-        match outcome {
+    for (name, lane) in [("A", &mut lane_a), ("B", &mut lane_b)] {
+        lane.pipeline_mut().seal_all().unwrap();
+        match lane.poll_refresh() {
             Ok(RefreshOutcome::Applied { checkpoint_generation, .. }) => {
-                assert_eq!(checkpoint_generation, 1, "tenant {id}");
+                assert_eq!(checkpoint_generation, 1, "tenant {name}");
             }
-            other => panic!("tenant {id}: first refresh must apply, got {other:?}"),
+            other => panic!("tenant {name}: first refresh must apply, got {other:?}"),
         }
     }
     // Each lane committed exactly its own generation.
-    assert_eq!(lanes.lane(a).unwrap().driver().generation(), 1);
-    assert_eq!(lanes.lane(b).unwrap().driver().generation(), 1);
+    assert_eq!(lane_a.driver().generation(), 1);
+    assert_eq!(lane_b.driver().generation(), 1);
     // Each lane logged exactly its own records.
-    lanes.lane_mut(a).unwrap().pipeline_mut().flush().unwrap();
-    lanes.lane_mut(b).unwrap().pipeline_mut().flush().unwrap();
-    assert_eq!(lanes.lane(a).unwrap().pipeline().log().replay().unwrap().len(), recs_a.len());
-    assert_eq!(lanes.lane(b).unwrap().pipeline().log().replay().unwrap().len(), recs_b.len());
+    lane_a.pipeline_mut().flush().unwrap();
+    lane_b.pipeline_mut().flush().unwrap();
+    assert_eq!(lane_a.pipeline().log().replay().unwrap().len(), recs_a.len());
+    assert_eq!(lane_b.pipeline().log().replay().unwrap().len(), recs_b.len());
 
     // A second poll with no new traffic is NotReady for both lanes and
     // changes no generation.
-    for (id, outcome) in lanes.poll_refresh_all() {
-        match outcome {
+    for (name, lane) in [("A", &mut lane_a), ("B", &mut lane_b)] {
+        match lane.poll_refresh() {
             Ok(RefreshOutcome::NotReady { .. }) => {}
-            other => panic!("tenant {id}: idle poll must be NotReady, got {other:?}"),
+            other => panic!("tenant {name}: idle poll must be NotReady, got {other:?}"),
         }
     }
-    assert_eq!(lanes.lane(a).unwrap().driver().generation(), 1);
-    assert_eq!(lanes.lane(b).unwrap().driver().generation(), 1);
+    assert_eq!(lane_a.driver().generation(), 1);
+    assert_eq!(lane_b.driver().generation(), 1);
 
     // Bit-identity: a single-tenant process fed exactly tenant A's
     // stream produces the same refreshed model — B's interleaved

@@ -5,7 +5,7 @@
 //! models: dense layers, embeddings, dropout, 2-D convolutions (for the
 //! CP-CNN context module and the classic-CNN baseline), graph polynomial
 //! convolutions (Chebyshev / diffusion), graph max pooling, the paper's
-//! masked KL loss, and Adam/SGD with the Table III schedule knobs.
+//! masked KL loss, and Adam with the Table III schedule knobs.
 
 #![warn(missing_docs)]
 
@@ -19,7 +19,7 @@ pub mod persist;
 pub mod tape;
 
 pub use layers::{dropout_mask, Dense, Embedding};
-pub use optim::{Adam, AdamState, OptimConfig, Sgd};
+pub use optim::{Adam, AdamState, OptimConfig};
 pub use params::{GradBuffer, GradSink, Param, ParamId, ParamStore};
 pub use persist::PersistError;
 pub use tape::{ConvSpec, NodeId, PoolSpec, Tape};

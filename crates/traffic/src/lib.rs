@@ -13,9 +13,7 @@ pub mod context;
 pub mod dataset;
 pub mod edge_graph_ext;
 pub mod generators;
-pub mod gmm;
 pub mod histogram;
-pub mod io;
 pub mod sim;
 pub mod view;
 pub mod viz;
@@ -25,7 +23,6 @@ pub use context::Context;
 pub use dataset::{Dataset, Fold, Snapshot};
 pub use gcwc_graph::{RoadClass, RoadNetwork};
 pub use generators::NetworkInstance;
-pub use gmm::GaussianMixture;
 pub use histogram::HistogramSpec;
 pub use sim::{simulate, SimConfig, TrafficData};
 pub use view::{view_context, view_dataset, view_snapshot, view_weights};

@@ -59,17 +59,6 @@ proptest! {
         }
     }
 
-    /// CSV round trips preserve record counts for arbitrary seeds.
-    #[test]
-    fn io_roundtrip_counts(seed in 0u64..60) {
-        let hw = generators::highway_tollgate(seed);
-        let cfg = SimConfig { days: 1, intervals_per_day: 4, seed, ..Default::default() };
-        let data = simulate(&hw, HistogramSpec::hist8(), &cfg);
-        let back = gcwc_traffic::io::records_from_csv(&gcwc_traffic::io::records_to_csv(&data))
-            .expect("roundtrip");
-        prop_assert_eq!(back.total_records(), data.total_records());
-    }
-
     /// Weight-matrix removal is idempotent at rm = 0 and total at rm = 1.
     #[test]
     fn removal_boundaries(seed in 0u64..100) {
@@ -78,24 +67,5 @@ proptest! {
         let mut rng = gcwc_linalg::rng::seeded(seed);
         prop_assert_eq!(w.remove_random(0.0, &mut rng).num_covered(), w.num_covered());
         prop_assert_eq!(w.remove_random(1.0, &mut rng).num_covered(), 0);
-    }
-
-    /// GMM → histogram discretisation always yields a distribution.
-    #[test]
-    fn gmm_discretisation_valid(weights in proptest::collection::vec(0.1f64..1.0, 2..4),
-                                means in proptest::collection::vec(2.0f64..38.0, 2..4)) {
-        prop_assume!(weights.len() == means.len());
-        let total: f64 = weights.iter().sum();
-        let comps: Vec<(f64, f64)> = weights.iter().zip(&means).map(|(&w, &m)| (w / total, m)).collect();
-        // Build a histogram from the components and round-trip it.
-        let spec = HistogramSpec::hist8();
-        let mut hist = vec![0.0; 8];
-        for (w, m) in comps {
-            hist[spec.bucket_of(m)] += w;
-        }
-        let gmm = gcwc_traffic::GaussianMixture::from_histogram(&hist, &spec);
-        let back = gmm.to_histogram(&spec);
-        prop_assert!((back.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        prop_assert!(back.iter().all(|&p| p >= 0.0));
     }
 }
