@@ -11,10 +11,9 @@
 //! ```
 //!
 //! The allocation gates (`alloc_regression`, `serve_alloc`,
-//! `wire_alloc`, `ingest_alloc`, `scale_smoke`) install it
-//! unconditionally; the `exp_runner` binary installs it behind the
-//! `count-allocs` feature so `scale-sweep` and `tenant-bench` can
-//! report allocation counts without taxing normal runs.
+//! `wire_alloc`, `ingest_alloc`) and the `exp_runner` binary install
+//! it, so `scaling` and `tenant-bench` report allocation counts in
+//! every build.
 //!
 //! Two views of the same events: the process-wide total
 //! ([`alloc_count`]) includes every thread, which is what a bench

@@ -8,22 +8,19 @@
 //!   table3             Table III  (model constructions, #Para)
 //!   table4 … table13   Tables IV–XIII (MKLR / FLR / MAPE sweeps)
 //!   tables             all of Tables IV–XIII
-//!   fig6a              Figure 6(a): training time per 20-instance batch
-//!   fig6b              Figure 6(b): testing time per instance
-//!   threads            serial-vs-parallel training throughput sweep
 //!   ablations          design-choice ablations (Chebyshev order, pooling,
 //!                      context subsets, HIST-4/8, LSM missing handling)
-//!   shard-sweep        partitioned completion over the synthetic city,
-//!                      K ∈ {1,2,4} (or just `--shards=K`): training
-//!                      throughput + accuracy delta vs the unsharded
-//!                      model, K=1 asserted bit-identical; with
-//!                      `--json`, also writes `BENCH_partition.json`
-//!   scale-sweep        the paper's scalability protocol at ×10/×25/×50
-//!                      (up to 8 600 edges): steady-state training-step
-//!                      time, serving p50/p99, peak RSS and allocs/step
-//!                      for GCWC and the two-shard GCWC-M2; `--smoke`
-//!                      downsamples to the ×10 point; with `--json`,
-//!                      also writes `BENCH_scale.json`
+//!   scaling            Figure 6 (§VI-D): one row per model (GCWC,
+//!                      A-GCWC) × scale × K ∈ {1,2,4} × thread count
+//!                      (1 and the ambient count), each trained through
+//!                      `ShardedModel::fit_shards` and completed through
+//!                      `predict_global` in a child process of its own:
+//!                      seconds per batch (wall; CPU, summed over
+//!                      shards), seconds per instance, peak RSS,
+//!                      allocations per step, and for K > 1 the
+//!                      accuracy delta from K = 1; `--shards=K` and
+//!                      `--threads=N` pin K and the thread count; with
+//!                      `--json`, also writes `BENCH_scaling.json`
 //!   tenant-bench       multi-tenant serving benchmark: a victim
 //!                      tenant's p50/p99 solo vs under a quota-capped
 //!                      noisy neighbor (responses asserted
@@ -31,14 +28,14 @@
 //!                      delta-repair wall time vs a full post-delta
 //!                      rebuild (strictly fewer than K shards
 //!                      repaired), and allocs/request on the cached
-//!                      path (0 under `--features count-allocs`);
-//!                      with `--json`, also writes `BENCH_tenant.json`
+//!                      path; with `--json`, also writes
+//!                      `BENCH_tenant.json`
 //!   train              resumable sharded training: checkpoints the
 //!                      per-shard training state under `--state=DIR`
 //!                      every few epochs; re-running with `--resume`
 //!                      continues a killed run bit-identically
 //!                      (`--shards=K` and `--epochs=N` set the scale)
-//!   all                everything above
+//!   all                table3, tables, ablations and scaling
 //! ```
 //!
 //! The default profile is `--fast` (minutes on CPU; reduced days/epochs
@@ -52,15 +49,10 @@
 //! measured by the `perfbench` package that `BENCHMARK.json` declares,
 //! not by this runner.
 
-use gcwc_bench::{
-    ablations, params_table, resumable, run_table, scalability, scalesweep, shardsweep,
-    tenantbench, Profile, ScalModel,
-};
+use gcwc_bench::{ablations, params_table, resumable, run_table, scaling, tenantbench, Profile};
 
-/// Counts every heap allocation so `scale-sweep` and `tenant-bench`
-/// can report allocation counts. Build with `--features count-allocs`
-/// to activate.
-#[cfg(feature = "count-allocs")]
+/// Counts every heap allocation, so `scaling` and `tenant-bench` report
+/// allocation counts.
 #[global_allocator]
 static ALLOC: gcwc_bench::allocs::CountingAlloc = gcwc_bench::allocs::CountingAlloc;
 
@@ -74,15 +66,12 @@ fn main() {
     let mut state_dir: Option<std::path::PathBuf> = None;
     let mut resume = false;
     let mut epochs: Option<usize> = None;
-    let mut smoke = false;
+    let mut child: Option<scaling::Config> = None;
     for a in &args {
         match a.as_str() {
             "--fast" => profile = Profile::fast(),
             "--full" => profile = Profile::full(),
-            "--smoke" => {
-                profile = Profile::smoke();
-                smoke = true;
-            }
+            "--smoke" => profile = Profile::smoke(),
             "--json" => json = true,
             "--resume" => resume = true,
             flag if flag.starts_with("--state=") => {
@@ -115,15 +104,27 @@ fn main() {
                     }
                 };
             }
+            // Internal: one row of `scaling`, run by its parent.
+            flag if flag.starts_with("--child=") => match flag["--child=".len()..].parse() {
+                Ok(config) => child = Some(config),
+                Err(e) => {
+                    eprintln!("{e}");
+                    std::process::exit(2);
+                }
+            },
             cmd => commands.push(cmd.to_owned()),
         }
     }
     profile.threads = threads;
+    if let Some(config) = child {
+        println!("{}", scaling::measure(&profile, config));
+        return;
+    }
     // Models built outside run_training (prediction paths, baselines)
     // follow the process-wide kernel default.
     gcwc_linalg::parallel::set_global_threads(threads);
     if commands.is_empty() {
-        eprintln!("usage: exp_runner [--fast|--full|--smoke] [--threads=N] [--shards=K] [--epochs=N] [--state=DIR] [--resume] [--json] <table3|table4..table13|tables|fig6a|fig6b|threads|ablations|shard-sweep|scale-sweep|tenant-bench|train|all>");
+        eprintln!("usage: exp_runner [--fast|--full|--smoke] [--threads=N] [--shards=K] [--epochs=N] [--state=DIR] [--resume] [--json] <table3|table4..table13|tables|ablations|scaling|tenant-bench|train|all>");
         std::process::exit(2);
     }
 
@@ -139,45 +140,10 @@ fn main() {
                     let _ = std::io::stdout().flush();
                 });
             }
-            "fig6a" => run_fig6(&profile, true, false),
-            "fig6b" => run_fig6(&profile, false, true),
-            "threads" => run_thread_sweep(&profile),
             "ablations" => {
                 println!("{}", ablations::render(&ablations::run_all(&profile)));
             }
-            "shard-sweep" => {
-                let counts: Vec<usize> = match shards {
-                    Some(k) => vec![k],
-                    None => vec![1, 2, 4],
-                };
-                let report = shardsweep::run(&counts);
-                print!("{}", shardsweep::render(&report));
-                if json {
-                    let path = "BENCH_partition.json";
-                    if let Err(e) = std::fs::write(path, shardsweep::to_json(&report)) {
-                        eprintln!("failed to write {path}: {e}");
-                        std::process::exit(1);
-                    }
-                    println!("wrote {path}");
-                }
-            }
-            "scale-sweep" => {
-                let cfg = if smoke {
-                    scalesweep::ScaleSweepConfig::smoke()
-                } else {
-                    scalesweep::ScaleSweepConfig::full()
-                };
-                let report = scalesweep::run(&cfg);
-                print!("{}", scalesweep::render(&report));
-                if json {
-                    let path = "BENCH_scale.json";
-                    if let Err(e) = std::fs::write(path, scalesweep::to_json(&report)) {
-                        eprintln!("failed to write {path}: {e}");
-                        std::process::exit(1);
-                    }
-                    println!("wrote {path}");
-                }
-            }
+            "scaling" => run_scaling(&profile, shards, &args, json),
             "tenant-bench" => {
                 let report = tenantbench::run();
                 print!("{}", tenantbench::render(&report));
@@ -218,8 +184,7 @@ fn main() {
                     use std::io::Write as _;
                     let _ = std::io::stdout().flush();
                 }
-                run_fig6(&profile, true, true);
-                run_thread_sweep(&profile);
+                run_scaling(&profile, shards, &args, json);
             }
             id => run_and_print(id, &profile),
         }
@@ -236,59 +201,22 @@ fn run_and_print(id: &str, profile: &Profile) {
     }
 }
 
-fn run_thread_sweep(profile: &Profile) {
-    let ambient = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut counts = vec![1usize, 2, 4];
-    if !counts.contains(&ambient) {
-        counts.push(ambient);
+/// Runs the scaling grid, prints it, writes `BENCH_scaling.json` when
+/// asked, and exits non-zero once the grid is done if any row failed.
+fn run_scaling(profile: &Profile, shards: Option<usize>, args: &[String], json: bool) {
+    let exe = std::env::current_exe().expect("locate exp_runner");
+    let rows = scaling::run(&exe, args, &scaling::grid(profile, shards));
+    print!("{}", scaling::render(&rows));
+    if json {
+        let path = "BENCH_scaling.json";
+        if let Err(e) = std::fs::write(path, scaling::to_json(&rows)) {
+            eprintln!("failed to write {path}: {e}");
+            std::process::exit(1);
+        }
+        println!("wrote {path}");
     }
-    let points = scalability::thread_sweep(profile, &counts);
-    println!("Serial vs. parallel training throughput (GCWC, CI scale 1)");
-    println!("{:>8}{:>16}{:>10}", "threads", "batch secs", "speedup");
-    for p in &points {
-        println!("{:>8}{:>16.4}{:>10.2}", p.threads, p.train_batch_secs, p.speedup);
-    }
-    println!();
-}
-
-fn run_fig6(profile: &Profile, show_train: bool, show_test: bool) {
-    // Measure every (model, scale) point once; print whichever views
-    // were requested.
-    let mut points: Vec<(usize, usize, Vec<gcwc_bench::ScalPoint>)> = Vec::new();
-    for &scale in &profile.scales {
-        let mut row = Vec::new();
-        let mut edges = 0;
-        for m in ScalModel::all() {
-            let p = scalability::measure(m, scale, profile);
-            edges = p.edges;
-            row.push(p);
-            eprintln!("  [fig6] scale={scale} {} done", m.name());
-        }
-        points.push((scale, edges, row));
-    }
-    let views: [(bool, &str, fn(&gcwc_bench::ScalPoint) -> f64); 2] = [
-        (show_train, "Figure 6(a): avg training time per 20-instance batch (s)", |p| {
-            p.train_batch_secs
-        }),
-        (show_test, "Figure 6(b): avg testing time per instance (s)", |p| p.test_instance_secs),
-    ];
-    for (enabled, title, extract) in views {
-        if !enabled {
-            continue;
-        }
-        println!("{title}");
-        print!("{:>8}{:>8}", "scale", "edges");
-        for m in ScalModel::all() {
-            print!("{:>12}", m.name());
-        }
-        println!();
-        for (scale, edges, row) in &points {
-            print!("{scale:>8}{edges:>8}");
-            for p in row {
-                print!("{:>12.4}", extract(p));
-            }
-            println!();
-        }
-        println!();
+    if rows.iter().any(|r| r.result.is_err()) {
+        eprintln!("scaling: a row failed");
+        std::process::exit(1);
     }
 }

@@ -13,8 +13,8 @@
 //!   post-delta graph — the repair must touch strictly fewer than K
 //!   shards.
 //! * **Cached-path allocations**: steady-state repeat requests against
-//!   a tenant's engine must stay heap-allocation-free (live under
-//!   `--features count-allocs`; reads 0 otherwise).
+//!   a tenant's engine must stay heap-allocation-free (`exp_runner`
+//!   counts every allocation).
 
 use std::fmt::Write as _;
 use std::sync::Arc;

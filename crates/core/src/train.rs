@@ -259,6 +259,8 @@ pub fn run_training_guarded(
             start_epoch = state.epochs_done;
         }
     }
+    // Room for every epoch's loss up front, so no later epoch allocates.
+    report.epoch_losses.reserve(epochs.saturating_sub(start_epoch));
     // Workspaces reused across batches and epochs: one tape per worker,
     // one gradient buffer per sample, seed and loss scratch. After the
     // first few batches the loop body reaches a steady state that

@@ -149,10 +149,9 @@ proptest! {
     }
 }
 
-/// A 20×43 4-connected grid — 860 nodes, the same node count the
-/// scale-sweep's ×5 city reaches. Large enough that the coarsening
-/// inside `pack_bins` runs several levels, unlike the small random
-/// graphs above.
+/// A 20×43 4-connected grid — 860 nodes, the node count of the CI
+/// city tiled ×5. Large enough that the coarsening inside `pack_bins`
+/// runs several levels, unlike the small random graphs above.
 fn grid_860() -> EdgeGraph {
     const ROWS: usize = 20;
     const COLS: usize = 43;
@@ -174,9 +173,9 @@ fn grid_860() -> EdgeGraph {
     EdgeGraph::from_adjacency(CsrMatrix::from_triplets(n, n, triplets))
 }
 
-/// At the scale-sweep's n = 860, every node is owned exactly once and
-/// halos are exactly the 1-hop out-of-partition neighbourhood, for
-/// both a small and a non-power-of-two shard count.
+/// At n = 860, every node is owned exactly once and halos are exactly
+/// the 1-hop out-of-partition neighbourhood, for both a small and a
+/// non-power-of-two shard count.
 #[test]
 fn enlarged_grid_ownership_and_halos_are_exact() {
     let g = grid_860();

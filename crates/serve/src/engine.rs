@@ -17,7 +17,7 @@
 //! (including per-shard localisation buffers), and the caches reuse
 //! evicted buffers — so the K = 1 in-process request path performs
 //! **zero heap allocations** once warm (asserted by `gcwc-bench`'s
-//! `serve_alloc` test under `count-allocs`).
+//! `serve_alloc` test, which installs a counting allocator).
 
 use crate::cache::{input_signature, CacheKey, CompletionCache};
 use crate::health::{Admission, BreakerConfig, ShardHealth};
