@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use gcwc::model::gcwc::LOSS_EPS;
-use gcwc::train::{run_training, TrainReport};
+use gcwc::train::{run_training, TrainControl, TrainReport};
 
 struct CnnLayer {
     kernel: gcwc_nn::ParamId,
@@ -181,9 +181,9 @@ impl CompletionModel for CnnModel {
             this.cfg.optim,
             this.cfg.epochs,
             this.cfg.batch_size,
-            gcwc_linalg::Threads::auto(),
             samples,
             &mut rng,
+            &TrainControl::default(),
             |tape, store, sample, rng| this.sample_loss(tape, store, sample, rng),
         );
         self.store = store;

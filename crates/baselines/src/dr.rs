@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use gcwc::model::gcwc::LOSS_EPS;
-use gcwc::train::{run_training, TrainReport};
+use gcwc::train::{run_training, TrainControl, TrainReport};
 use gcwc::{CompletionModel, OutputKind, TrainSample};
 use gcwc_graph::{EdgeGraph, PolyBasis, RandomWalkBasis};
 use gcwc_linalg::rng::seeded;
@@ -207,9 +207,9 @@ impl CompletionModel for DrModel {
             this.cfg.optim,
             this.cfg.epochs,
             this.cfg.batch_size,
-            gcwc_linalg::Threads::auto(),
             samples,
             &mut rng,
+            &TrainControl::default(),
             |tape, store, sample, _| this.sample_loss(tape, store, sample),
         );
         self.store = store;

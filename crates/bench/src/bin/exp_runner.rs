@@ -120,8 +120,7 @@ fn main() {
         println!("{}", scaling::measure(&profile, config));
         return;
     }
-    // Models built outside run_training (prediction paths, baselines)
-    // follow the process-wide kernel default.
+    // Training workers and kernels both follow the process-wide count.
     gcwc_linalg::parallel::set_global_threads(threads);
     if commands.is_empty() {
         eprintln!("usage: exp_runner [--fast|--full|--smoke] [--threads=N] [--shards=K] [--epochs=N] [--state=DIR] [--resume] [--json] <table3|table4..table13|tables|ablations|scaling|tenant-bench|train|all>");

@@ -1,40 +1,19 @@
 //! Pins the zero-allocation steady state of the training hot path.
 //!
 //! Installs the counting global allocator and drives `run_training`
-//! itself (per batch: corrupted inputs → encoder forward → KL loss →
-//! backward on one tape per worker → one `merge_batch` → one Adam
-//! step). Once the first epochs have warmed every workspace, further
-//! epochs must perform **zero** heap allocations. The dense and CSR
-//! kernels are pinned on their own.
+//! itself through the shared training fixture. Once the first epochs
+//! have warmed every workspace, further epochs must perform **zero**
+//! heap allocations at one thread. The dense and CSR kernels are pinned
+//! on their own.
 
-use gcwc::model::Encoder;
-use gcwc::task::corrupt_input_pooled;
-use gcwc::train::run_training;
-use gcwc::{build_samples, ModelConfig, TaskKind, TrainSample};
+mod train_fixture;
+
 use gcwc_bench::allocs::{alloc_count, count_allocs, CountingAlloc};
 use gcwc_linalg::rng::seeded;
-use gcwc_linalg::Threads;
-use gcwc_nn::ParamStore;
-use gcwc_traffic::{generators, simulate, HistogramSpec, SimConfig};
 use rand::Rng;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
-
-fn tiny_samples() -> (gcwc_traffic::NetworkInstance, Vec<TrainSample>) {
-    let hw = generators::highway_tollgate(1);
-    let sim = SimConfig {
-        days: 2,
-        intervals_per_day: 16,
-        records_per_interval: 10.0,
-        ..Default::default()
-    };
-    let data = simulate(&hw, HistogramSpec::hist8(), &sim);
-    let ds = data.to_dataset(0.5, 5, 11);
-    let idx: Vec<usize> = (0..ds.len()).collect();
-    let samples = build_samples(&ds, &idx, TaskKind::Estimation, 0);
-    (hw, samples)
-}
 
 #[test]
 fn longer_trainings_do_not_allocate_more_per_epoch() {
@@ -42,43 +21,7 @@ fn longer_trainings_do_not_allocate_more_per_epoch() {
     // epochs have warmed every workspace, additional epochs must add
     // nothing at all (`epoch_losses` is reserved for the whole run).
     gcwc_linalg::parallel::set_global_threads(1);
-    let (hw, samples) = tiny_samples();
-    let samples = &samples[..6.min(samples.len())];
-    let cfg = ModelConfig::hw_hist();
-
-    let run = |epochs: usize| -> u64 {
-        let mut store = ParamStore::new();
-        let mut init_rng = seeded(3);
-        let enc = Encoder::new(&hw.graph, 8, &cfg, &mut store, &mut init_rng);
-        let mut rng = seeded(9);
-        let (_, allocs) = count_allocs(|| {
-            run_training(
-                &mut store,
-                cfg.optim,
-                epochs,
-                cfg.batch_size,
-                Threads::fixed(1),
-                samples,
-                &mut rng,
-                |tape, store, sample, rng| {
-                    let (input, flags) = corrupt_input_pooled(
-                        &sample.input,
-                        &sample.context.row_flags,
-                        cfg.row_dropout,
-                        rng,
-                        tape.pool_mut(),
-                    );
-                    let pred = enc.output(tape, store, &input, true, rng);
-                    tape.pool_mut().give(input);
-                    tape.pool_mut().give_vec(flags);
-                    tape.kl_loss_masked_ref(pred, &sample.label, &sample.label_mask, 1e-6)
-                },
-            )
-            .unwrap();
-        });
-        allocs
-    };
-
+    let run = |epochs| train_fixture::training_allocs(epochs, |train| count_allocs(train).1);
     let short = run(2);
     let long = run(20);
     assert!(short > 0, "a 2-epoch training allocated nothing — counter not active?");

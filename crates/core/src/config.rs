@@ -72,11 +72,6 @@ pub struct ModelConfig {
     /// Which contexts A-GCWC uses: `[time, day, row-flag]`. All enabled
     /// in the paper; subsets drive the context ablation benches.
     pub context_mask: [bool; 3],
-    /// Worker threads for the data-parallel training loop. `0` resolves
-    /// the ambient count (`GCWC_THREADS` env override, else available
-    /// parallelism); `1` forces the exact serial path. Results are
-    /// bit-identical for every value.
-    pub threads: usize,
 }
 
 impl ModelConfig {
@@ -102,7 +97,6 @@ impl ModelConfig {
             context_dim: 4,
             cp_cnn: CpCnnConfig::default(),
             context_mask: [true; 3],
-            threads: 0,
         }
     }
 
@@ -128,7 +122,6 @@ impl ModelConfig {
             context_dim: 4,
             cp_cnn: CpCnnConfig::default(),
             context_mask: [true; 3],
-            threads: 0,
         }
     }
 
@@ -146,13 +139,6 @@ impl ModelConfig {
     /// profile); keeps everything else.
     pub fn with_epochs(mut self, epochs: usize) -> Self {
         self.epochs = epochs;
-        self
-    }
-
-    /// Pins the training worker thread count (`0` = ambient, `1` =
-    /// serial); keeps everything else.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
         self
     }
 

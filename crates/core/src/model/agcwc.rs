@@ -13,7 +13,7 @@ use crate::infer::{InferRequest, InferWorkspace};
 use crate::model::encoder::Encoder;
 use crate::model::gcwc::LOSS_EPS;
 use crate::task::{CompletionModel, TrainSample};
-use crate::train::{run_training_guarded, TrainControl, TrainError, TrainReport};
+use crate::train::{run_training, TrainControl, TrainError, TrainReport};
 
 /// ε guarding the Bayesian division (Eq. 10).
 const BAYES_EPS: f64 = 1e-4;
@@ -667,17 +667,16 @@ impl AGcwcModel {
         control: &TrainControl,
     ) -> Result<(), TrainError> {
         let mut rng = seeded(self.rng.random());
-        // `run_training_guarded` needs `&mut self.store` while the
+        // `run_training` needs `&mut self.store` while the
         // closure reads the rest of `self`; move the store out for the
         // duration.
         let mut store = std::mem::take(&mut self.store);
         let this: &Self = self;
-        let report = run_training_guarded(
+        let report = run_training(
             &mut store,
             this.cfg.optim,
             this.cfg.epochs,
             this.cfg.batch_size,
-            gcwc_linalg::Threads::fixed(this.cfg.threads),
             samples,
             &mut rng,
             control,

@@ -11,7 +11,7 @@ use crate::config::{ModelConfig, OutputKind};
 use crate::infer::{InferRequest, InferWorkspace};
 use crate::model::encoder::Encoder;
 use crate::task::{CompletionModel, TrainSample};
-use crate::train::{run_training_guarded, TrainControl, TrainError, TrainReport};
+use crate::train::{run_training, TrainControl, TrainError, TrainReport};
 
 /// ε of the KL loss (Eq. 3).
 pub const LOSS_EPS: f64 = 1e-6;
@@ -173,12 +173,11 @@ impl GcwcModel {
         let encoder = &self.encoder;
         let row_dropout = self.cfg.row_dropout;
         let mut rng = seeded(self.rng.random());
-        self.last_report = run_training_guarded(
+        self.last_report = run_training(
             &mut self.store,
             self.cfg.optim,
             self.cfg.epochs,
             self.cfg.batch_size,
-            gcwc_linalg::Threads::fixed(self.cfg.threads),
             samples,
             &mut rng,
             control,

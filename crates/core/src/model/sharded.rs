@@ -18,6 +18,14 @@
 //! their full 1-hop neighbourhood and boundary rows see a truncated
 //! 2-hop receptive field, so completions on boundary edges carry a
 //! small, bounded approximation error.
+//!
+//! Full fits, fine-tunes and subset retrains all fan out through one
+//! private `run_shards`: K = 1 trains on the calling thread at its
+//! thread count, and K ≥ 2 trains each listed shard on a scoped thread
+//! of its own with kernels pinned to one thread
+//! ([`gcwc_linalg::parallel::spawn_pinned`]) while the caller waits.
+//! Training is thread-count invariant, so this placement never changes
+//! a shard's bits.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -45,7 +53,7 @@ pub trait ShardModel: CompletionModel + Send {
     /// Loads the shard's parameters.
     fn load(&mut self, path: &Path) -> Result<(), PersistError>;
     /// Fallible training with a divergence guard and optional
-    /// checkpoint-and-resume (see `crate::train::run_training_guarded`).
+    /// checkpoint-and-resume (see `crate::train::run_training`).
     fn try_fit(
         &mut self,
         samples: &[TrainSample],
@@ -281,45 +289,46 @@ impl<M: ShardModel> ShardedModel<M> {
         samples: &[TrainSample],
         control_for: impl Fn(usize) -> TrainControl + Sync,
     ) -> Result<(), TrainError> {
-        self.run_shards(samples, control_for, |shard, local, control| shard.try_fit(local, control))
+        let all: Vec<usize> = (0..self.shards.len()).collect();
+        self.run_shards(&all, samples, control_for, |shard, local, control| {
+            shard.try_fit(local, control)
+        })
     }
 
-    /// Shard fan-out shared by full fits and fine-tune passes: K = 1
-    /// runs on the calling thread (the exact unsharded path), K > 1
-    /// trains shards data-parallel with kernel parallelism pinned to
-    /// one thread inside each.
+    /// Shard fan-out shared by full fits, subset retrains and fine-tune
+    /// passes, over the shards listed in `which`, placed as the module
+    /// docs say. Shards fan out once per fit, not once per step, and
+    /// training a shard on the calling thread measured slower (DESIGN
+    /// §10), so this placement stays outside `fork_join`.
     fn run_shards(
         &mut self,
+        which: &[usize],
         samples: &[TrainSample],
         control_for: impl Fn(usize) -> TrainControl + Sync,
         fit: impl Fn(&mut M, &[TrainSample], &TrainControl) -> Result<(), TrainError> + Sync,
     ) -> Result<(), TrainError> {
+        let single = self.shards.len() == 1;
+        let listed = |k: &usize| which.contains(k);
         let locals: Vec<Vec<TrainSample>> = (0..self.shards.len())
+            .filter(listed)
             .map(|k| samples.iter().map(|s| self.localize(k, s)).collect())
             .collect();
-        if self.shards.len() == 1 {
-            return fit(&mut self.shards[0], &locals[0], &control_for(0));
+        let mut jobs = self.shards.iter_mut().enumerate().filter(|(k, _)| listed(k)).zip(&locals);
+        if single {
+            return jobs.try_for_each(|((k, shard), local)| fit(shard, local, &control_for(k)));
         }
         let control_for = &control_for;
         let fit = &fit;
-        let mut results: Vec<Result<(), TrainError>> = Vec::new();
         std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .zip(&locals)
-                .enumerate()
-                .map(|(k, (shard, local))| {
-                    scope.spawn(move || {
-                        gcwc_linalg::parallel::with_threads(1, || {
-                            fit(shard, local, &control_for(k))
-                        })
+            let handles: Vec<_> = jobs
+                .map(|((k, shard), local)| {
+                    gcwc_linalg::parallel::spawn_pinned(scope, move || {
+                        fit(shard, local, &control_for(k))
                     })
                 })
                 .collect();
-            results.extend(handles.into_iter().map(|h| h.join().expect("shard trainer panicked")));
-        });
-        results.into_iter().collect()
+            handles.into_iter().try_for_each(|h| h.join().expect("shard trainer panicked"))
+        })
     }
 
     /// Trains every shard with periodic training-state checkpoints
@@ -359,7 +368,9 @@ impl<M: ShardModel> ShardedModel<M> {
         resume: bool,
         plan: &FineTunePlan,
     ) -> Result<(), TrainError> {
+        let all: Vec<usize> = (0..self.shards.len()).collect();
         self.run_shards(
+            &all,
             samples,
             |k| TrainControl {
                 checkpoint: Some(CheckpointPlan {
@@ -406,28 +417,21 @@ impl<M: ShardModel> ShardedModel<M> {
 
     /// Trains only the shards in `subset` on their local restriction
     /// of `samples` — the retrain step after
-    /// [`ShardedModel::apply_delta`]. Each shard trains exactly like a
-    /// full [`ShardedModel::fit_shards`] pass would train it (K = 1
-    /// inline on the calling thread, K > 1 under a pinned kernel
-    /// thread), so a repaired-and-retrained shard is bit-identical to
-    /// the same shard trained in a from-scratch model.
+    /// [`ShardedModel::apply_delta`]. The listed shards train exactly as
+    /// a full [`ShardedModel::fit_shards`] pass trains them, so a
+    /// repaired-and-retrained shard is bit-identical to the same shard
+    /// trained in a from-scratch model.
     pub fn fit_shards_subset(
         &mut self,
         subset: &[usize],
         samples: &[TrainSample],
     ) -> Result<(), TrainError> {
-        let single = self.shards.len() == 1;
-        for &k in subset {
-            let local: Vec<TrainSample> = samples.iter().map(|s| self.localize(k, s)).collect();
-            let control = TrainControl::default();
-            let shard = &mut self.shards[k];
-            if single {
-                shard.try_fit(&local, &control)?;
-            } else {
-                gcwc_linalg::parallel::with_threads(1, || shard.try_fit(&local, &control))?;
-            }
-        }
-        Ok(())
+        self.run_shards(
+            subset,
+            samples,
+            |_| TrainControl::default(),
+            |shard, local, control| shard.try_fit(local, control),
+        )
     }
 
     /// Predicts the global completion: each shard predicts on its

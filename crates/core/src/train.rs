@@ -1,22 +1,28 @@
 //! Shared mini-batch training loop, data-parallel within each batch.
 //!
 //! Samples inside a mini-batch are independent — gradients only meet at
-//! the batch barrier — so the loop farms samples out to scoped worker
-//! threads. Determinism is preserved bit-for-bit for every thread
-//! count:
+//! the batch barrier — so the loop splits each batch into
+//! `current_threads().min(batch length)` contiguous parts and runs them
+//! through [`parallel::fork_join`]: the first part on the calling
+//! thread, each other part on a scoped thread of its own, and with two
+//! or more parts every part's kernels on one thread. The worker count
+//! comes from the thread-count chain of [`gcwc_linalg::parallel`]
+//! (`with_threads`, then `set_global_threads` / `GCWC_THREADS`, then
+//! available parallelism). Determinism is preserved bit-for-bit for
+//! every thread count:
 //!
 //! 1. every sample's RNG is seeded from the master stream *in batch
-//!    order* before any worker starts, so the stream consumed never
+//!    order* before any part starts, so the stream consumed never
 //!    depends on scheduling;
-//! 2. each worker writes a private per-sample [`GradBuffer`] (one per
-//!    sample, not one per worker — float addition is non-associative,
-//!    so per-worker partial sums would round differently as the worker
+//! 2. each part writes a private per-sample [`GradBuffer`] (one per
+//!    sample, not one per part — float addition is non-associative,
+//!    so per-part partial sums would round differently as the part
 //!    count changed);
 //! 3. buffers are merged into the [`ParamStore`] in sample-index order
 //!    after the batch completes ([`GradBuffer::merge_batch`]),
 //!    reproducing the serial accumulation order exactly.
 //!
-//! A worker needs only one [`Tape`]: a sample's tape is done once its
+//! A part needs only one [`Tape`]: a sample's tape is done once its
 //! backward pass has filled the sample's buffer, and the buffer keeps a
 //! dense layer's weight gradient as its small factors, not as a copy
 //! of anything on the tape.
@@ -49,7 +55,7 @@
 
 use std::path::PathBuf;
 
-use gcwc_linalg::parallel::{self, Threads};
+use gcwc_linalg::parallel;
 use gcwc_linalg::rng::{seeded, shuffle};
 use gcwc_nn::{Adam, AdamState, GradBuffer, NodeId, ParamStore, PersistError, Tape};
 use rand::rngs::StdRng;
@@ -150,7 +156,7 @@ impl CheckpointPlan {
     }
 }
 
-/// Robustness knobs of [`run_training_guarded`].
+/// Robustness knobs of [`run_training`].
 #[derive(Clone, Debug)]
 pub struct TrainControl {
     /// Consecutive bad attempts at one batch before
@@ -191,46 +197,19 @@ impl Default for FineTunePlan {
 /// tape and returns the scalar loss node; gradients are averaged over
 /// the batch and applied with Adam.
 ///
-/// Samples within a batch are evaluated by up to `threads` scoped
-/// worker threads. Epoch losses and parameter updates are bit-identical
-/// for every thread count (see the module docs); `forward_loss`
-/// receives a per-sample RNG seeded from the master stream in batch
-/// order, so it must derive all randomness from that argument.
+/// Each batch's samples are split over up to `current_threads()` parts
+/// (see the module docs). Epoch losses and parameter updates are
+/// bit-identical for every thread count; `forward_loss` receives a
+/// per-sample RNG seeded from the master stream in batch order, so it
+/// must derive all randomness from that argument. `control` sets the
+/// divergence guard's threshold and an optional checkpoint-and-resume
+/// plan.
 #[allow(clippy::too_many_arguments)] // deliberate flat signature: one call per model, no builder worth it
 pub fn run_training(
     store: &mut ParamStore,
     optim: gcwc_nn::OptimConfig,
     epochs: usize,
     batch_size: usize,
-    threads: Threads,
-    samples: &[TrainSample],
-    rng: &mut StdRng,
-    forward_loss: impl Fn(&mut Tape, &ParamStore, &TrainSample, &mut StdRng) -> NodeId + Sync,
-) -> Result<TrainReport, TrainError> {
-    run_training_guarded(
-        store,
-        optim,
-        epochs,
-        batch_size,
-        threads,
-        samples,
-        rng,
-        &TrainControl::default(),
-        forward_loss,
-    )
-}
-
-/// [`run_training`] with explicit robustness controls: the divergence
-/// guard threshold and an optional checkpoint-and-resume plan (see the
-/// module docs). With `TrainControl::default()` this is exactly
-/// [`run_training`].
-#[allow(clippy::too_many_arguments)] // deliberate flat signature, matching run_training
-pub fn run_training_guarded(
-    store: &mut ParamStore,
-    optim: gcwc_nn::OptimConfig,
-    epochs: usize,
-    batch_size: usize,
-    threads: Threads,
     samples: &[TrainSample],
     rng: &mut StdRng,
     control: &TrainControl,
@@ -261,10 +240,10 @@ pub fn run_training_guarded(
     }
     // Room for every epoch's loss up front, so no later epoch allocates.
     report.epoch_losses.reserve(epochs.saturating_sub(start_epoch));
-    // Workspaces reused across batches and epochs: one tape per worker,
+    // Workspaces reused across batches and epochs: one tape per part,
     // one gradient buffer per sample, seed and loss scratch. After the
     // first few batches the loop body reaches a steady state that
-    // performs no heap allocation.
+    // performs no heap allocation beyond the parts' thread spawns.
     let mut tapes: Vec<Tape> = Vec::new();
     let mut buffers: Vec<GradBuffer> = Vec::new();
     let mut seeds: Vec<u64> = Vec::new();
@@ -277,27 +256,35 @@ pub fn run_training_guarded(
             loop {
                 store.zero_grads();
                 // One seed per sample, drawn in batch order *before* any
-                // worker runs: the master stream's consumption is the same
+                // part runs: the master stream's consumption is the same
                 // for every thread count. A retried batch draws fresh
                 // seeds, so transient bad draws are not replayed.
                 seeds.clear();
                 seeds.extend(batch.iter().map(|_| rng.random::<u64>()));
-                let workers = threads.get().min(batch.len());
+                let workers = parallel::current_threads().min(batch.len());
                 tapes.resize_with(tapes.len().max(workers), Tape::new);
                 buffers.resize_with(buffers.len().max(batch.len()), GradBuffer::new);
                 losses.clear();
                 losses.resize(batch.len(), 0.0);
-                run_batch(
-                    store,
-                    batch,
-                    &seeds,
-                    samples,
-                    &mut tapes[..workers],
-                    &mut buffers[..batch.len()],
-                    &mut losses,
-                    &forward_loss,
-                );
-                // Fixed merge order — batch position, never worker id.
+                // One part per worker: a tape and the buffers and losses
+                // of a contiguous run of the batch.
+                let parts = tapes[..workers]
+                    .iter_mut()
+                    .zip(parallel::balanced_chunks(&mut buffers[..batch.len()], 1, workers))
+                    .zip(parallel::balanced_chunks(&mut losses, 1, workers));
+                let shared: &ParamStore = store;
+                parallel::fork_join(parts, |((tape, (start, buffers)), (_, losses))| {
+                    for (k, (buffer, loss)) in buffers.iter_mut().zip(losses).enumerate() {
+                        tape.reset();
+                        buffer.reset();
+                        let mut rng = seeded(seeds[start + k]);
+                        let sample = &samples[batch[start + k]];
+                        let node = forward_loss(tape, shared, sample, &mut rng);
+                        *loss = tape.value(node)[(0, 0)];
+                        tape.backward(node, buffer);
+                    }
+                });
+                // Fixed merge order — batch position, never part.
                 let mut batch_loss = 0.0;
                 for loss in &losses {
                     batch_loss += *loss;
@@ -365,93 +352,6 @@ fn save_checkpoint(
     Ok(())
 }
 
-/// Builds the tape for one sample and runs its backward pass into the
-/// sample's private buffer. Both the serial and the parallel batch path
-/// call exactly this function, which is what makes them bit-identical.
-fn eval_sample<F>(
-    store: &ParamStore,
-    sample: &TrainSample,
-    seed: u64,
-    tape: &mut Tape,
-    buffer: &mut GradBuffer,
-    forward_loss: &F,
-) -> f64
-where
-    F: Fn(&mut Tape, &ParamStore, &TrainSample, &mut StdRng) -> NodeId + Sync,
-{
-    tape.reset();
-    buffer.reset();
-    let mut rng = seeded(seed);
-    let loss = forward_loss(tape, store, sample, &mut rng);
-    let value = tape.value(loss)[(0, 0)];
-    tape.backward(loss, buffer);
-    value
-}
-
-/// Evaluates every sample of `batch`, writing each loss into `losses`
-/// and each gradient into the matching buffer, in batch order. The
-/// batch is split into contiguous chunks, one per tape; with more than
-/// one tape each chunk runs on its own scoped worker, whose kernels run
-/// single-threaded (the thread budget is already spent on samples).
-#[allow(clippy::too_many_arguments)] // internal helper mirroring run_training's flat signature
-fn run_batch<F>(
-    store: &ParamStore,
-    batch: &[usize],
-    seeds: &[u64],
-    samples: &[TrainSample],
-    tapes: &mut [Tape],
-    buffers: &mut [GradBuffer],
-    losses: &mut [f64],
-    forward_loss: &F,
-) where
-    F: Fn(&mut Tape, &ParamStore, &TrainSample, &mut StdRng) -> NodeId + Sync,
-{
-    debug_assert_eq!(buffers.len(), batch.len());
-    debug_assert_eq!(losses.len(), batch.len());
-    let run_chunk =
-        |start: usize, tape: &mut Tape, buffers: &mut [GradBuffer], losses: &mut [f64]| {
-            for (k, (buffer, loss)) in buffers.iter_mut().zip(losses.iter_mut()).enumerate() {
-                let (si, seed) = (batch[start + k], seeds[start + k]);
-                *loss = eval_sample(store, &samples[si], seed, tape, buffer, forward_loss);
-            }
-        };
-    let workers = tapes.len();
-    if workers <= 1 {
-        run_chunk(0, &mut tapes[0], buffers, losses);
-        return;
-    }
-    // Kernels run single-threaded inside workers: the thread budget is
-    // already spent at the sample level.
-    let run_worker =
-        |start: usize, tape: &mut Tape, buffers: &mut [GradBuffer], losses: &mut [f64]| {
-            parallel::with_threads(1, || run_chunk(start, tape, buffers, losses));
-        };
-    std::thread::scope(|scope| {
-        let mut rest_buffers = buffers;
-        let mut rest_losses = losses;
-        let mut offset = 0usize;
-        let mut own = None;
-        for (w, tape) in tapes.iter_mut().enumerate() {
-            let count = batch.len() / workers + usize::from(w < batch.len() % workers);
-            let (chunk_buffers, tail_buffers) = rest_buffers.split_at_mut(count);
-            rest_buffers = tail_buffers;
-            let (chunk_losses, tail_losses) = rest_losses.split_at_mut(count);
-            rest_losses = tail_losses;
-            let start = offset;
-            offset += count;
-            if w == 0 {
-                own = Some((start, tape, chunk_buffers, chunk_losses));
-            } else {
-                let run_worker = &run_worker;
-                scope.spawn(move || run_worker(start, tape, chunk_buffers, chunk_losses));
-            }
-        }
-        let (start, tape, chunk_buffers, chunk_losses) =
-            own.expect("workers >= 2 implies a first chunk");
-        run_worker(start, tape, chunk_buffers, chunk_losses);
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -488,9 +388,9 @@ mod tests {
             OptimConfig { learning_rate: 0.1, ..Default::default() },
             150,
             2,
-            Threads::auto(),
             &samples,
             &mut rng,
+            &TrainControl::default(),
             |tape, store, sample, _| {
                 let wn = tape.param(store, w);
                 tape.mse_masked(wn, sample.label.clone(), Matrix::filled(1, 1, 1.0))
@@ -515,60 +415,13 @@ mod tests {
             OptimConfig::default(),
             5,
             4,
-            Threads::auto(),
             &[],
             &mut rng,
+            &TrainControl::default(),
             |tape, _, _, _| tape.constant(Matrix::zeros(1, 1)),
         )
         .unwrap();
         assert!(report.epoch_losses.is_empty());
-    }
-
-    /// A loss whose gradient depends on the per-sample RNG, so the test
-    /// also proves the RNG stream is thread-count-invariant.
-    fn noisy_run(threads: usize) -> (Vec<f64>, Vec<f64>) {
-        let mut store = ParamStore::new();
-        let w = store.add("w", Matrix::filled(2, 3, 0.4));
-        let samples: Vec<TrainSample> =
-            (0..7).map(|i| dummy_sample(i as f64 * 0.5 - 1.0)).collect();
-        let mut rng = seeded(99);
-        let report = run_training(
-            &mut store,
-            OptimConfig { learning_rate: 0.05, ..Default::default() },
-            4,
-            3,
-            Threads::fixed(threads),
-            &samples,
-            &mut rng,
-            |tape, store, sample, rng| {
-                use rand::Rng;
-                let wn = tape.param(store, w);
-                let jitter = rng.random::<f64>() * 0.1;
-                let scaled = tape.scale(wn, 1.0 + jitter);
-                let target = Matrix::filled(2, 3, sample.label[(0, 0)]);
-                tape.mse_masked(scaled, target, Matrix::filled(2, 3, 1.0))
-            },
-        )
-        .unwrap();
-        (report.epoch_losses, store.value(w).as_slice().to_vec())
-    }
-
-    #[test]
-    fn training_is_bit_identical_across_thread_counts() {
-        let (serial_losses, serial_w) = noisy_run(1);
-        for threads in [2, 3, 4, 8] {
-            let (losses, w) = noisy_run(threads);
-            assert_eq!(
-                losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>(),
-                serial_losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>(),
-                "epoch losses diverged at {threads} threads"
-            );
-            assert_eq!(
-                w.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                serial_w.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                "final weights diverged at {threads} threads"
-            );
-        }
     }
 
     /// Divergence-guard tests inject bad optimizer steps through the
@@ -589,12 +442,11 @@ mod tests {
             let w = store.add("w", Matrix::zeros(1, 1));
             let samples: Vec<TrainSample> = vec![dummy_sample(2.0), dummy_sample(4.0)];
             let mut rng = seeded(1);
-            let report = run_training_guarded(
+            let report = run_training(
                 &mut store,
                 OptimConfig { learning_rate: 0.1, ..Default::default() },
                 60,
                 2,
-                Threads::fixed(1),
                 &samples,
                 &mut rng,
                 control,

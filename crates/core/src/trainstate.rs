@@ -1,6 +1,6 @@
 //! Mid-run training state persistence for checkpoint-and-resume.
 //!
-//! A [`TrainState`] captures everything `run_training_guarded` needs to
+//! A [`TrainState`] captures everything `run_training` needs to
 //! continue a run exactly where it stopped: the parameter values, the
 //! Adam moments and counters, the master RNG's raw state, the current
 //! shuffle order, and the epoch losses recorded so far. The format is

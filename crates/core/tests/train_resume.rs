@@ -11,12 +11,25 @@
 //! (the unwind aborts training after some epochs were already
 //! persisted); resuming afterwards must still land on the identical
 //! final checkpoint.
+//!
+//! The failpoint registry is process-global and every test here saves
+//! checkpoints, so each test holds [`CHECKPOINT_LOCK`] for its whole
+//! run: an armed checkpoint-save site never fires in a sibling test.
 
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard};
 
 use gcwc::train::{CheckpointPlan, TrainControl};
 use gcwc::{build_samples, GcwcModel, ModelConfig, ShardedModel, TaskKind, TrainSample};
 use gcwc_traffic::{generators, simulate, HistogramSpec, SimConfig};
+
+static CHECKPOINT_LOCK: Mutex<()> = Mutex::new(());
+
+/// Takes [`CHECKPOINT_LOCK`], recovering it from a test that panicked
+/// while holding it.
+fn serialise() -> MutexGuard<'static, ()> {
+    CHECKPOINT_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn samples_for(instance: &gcwc_traffic::NetworkInstance) -> Vec<TrainSample> {
     let cfg = SimConfig {
@@ -53,6 +66,7 @@ fn plan(path: PathBuf) -> TrainControl {
 
 #[test]
 fn resumed_training_is_bit_identical_to_uninterrupted() {
+    let _guard = serialise();
     let hw = generators::highway_tollgate(1);
     let samples = samples_for(&hw);
     let samples = &samples[..8];
@@ -86,6 +100,7 @@ fn resumed_training_is_bit_identical_to_uninterrupted() {
 
 #[test]
 fn completed_state_resumes_to_a_noop() {
+    let _guard = serialise();
     let hw = generators::highway_tollgate(1);
     let samples = samples_for(&hw);
     let samples = &samples[..8];
@@ -106,6 +121,7 @@ fn completed_state_resumes_to_a_noop() {
 
 #[test]
 fn foreign_state_is_rejected_with_a_typed_error() {
+    let _guard = serialise();
     let hw = generators::highway_tollgate(1);
     let samples = samples_for(&hw);
     let dir = fresh_dir("gcwc_train_resume_reject");
@@ -128,6 +144,7 @@ fn foreign_state_is_rejected_with_a_typed_error() {
 
 #[test]
 fn sharded_training_resumes_bit_identically_per_shard() {
+    let _guard = serialise();
     let hw = generators::highway_tollgate(1);
     let samples = samples_for(&hw);
     let samples = &samples[..8];
@@ -162,6 +179,7 @@ fn sharded_training_resumes_bit_identically_per_shard() {
 #[cfg(feature = "failpoints")]
 #[test]
 fn killed_run_resumes_to_identical_final_checkpoint() {
+    let _guard = serialise();
     let hw = generators::highway_tollgate(1);
     let samples = samples_for(&hw);
     let samples = &samples[..8];

@@ -21,6 +21,5 @@ pub mod tile;
 
 pub use decomp::{Cholesky, DecompError};
 pub use matrix::Matrix;
-pub use parallel::Threads;
 pub use pool::{BufferPool, PoolGuard};
 pub use sparse::CsrMatrix;

@@ -206,13 +206,8 @@ impl Matrix {
         assert_eq!(out.shape(), (self.rows, rhs.cols), "matmul_into output shape mismatch");
         let cols = rhs.cols;
         let work = self.rows * self.cols * cols;
-        let threads = if work < crate::parallel::MIN_PARALLEL_WORK {
-            1
-        } else {
-            crate::parallel::current_threads()
-        };
         let tier = crate::tile::resolve(work);
-        crate::parallel::par_rows(&mut out.data, cols, threads, |start, chunk| {
+        crate::parallel::par_rows(&mut out.data, cols, work, |start, chunk| {
             if tier == crate::tile::KernelTier::Tiled {
                 crate::tile::matmul_nn_chunk(self, rhs, start, chunk);
                 return;
@@ -237,12 +232,7 @@ impl Matrix {
     pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
         assert_eq!(self.cols, v.len(), "matvec shape mismatch");
         let mut out = vec![0.0; self.rows];
-        let threads = if self.rows * self.cols < crate::parallel::MIN_PARALLEL_WORK {
-            1
-        } else {
-            crate::parallel::current_threads()
-        };
-        crate::parallel::par_rows(&mut out, 1, threads, |start, chunk| {
+        crate::parallel::par_rows(&mut out, 1, self.rows * self.cols, |start, chunk| {
             for (k, o) in chunk.iter_mut().enumerate() {
                 *o = self.row(start + k).iter().zip(v).map(|(a, b)| a * b).sum();
             }
@@ -253,7 +243,7 @@ impl Matrix {
     /// Applies `f` entrywise, returning a new matrix.
     pub fn map(&self, f: impl Fn(f64) -> f64 + Sync) -> Matrix {
         let mut out = Matrix::zeros(self.rows, self.cols);
-        crate::parallel::par_map(&self.data, &mut out.data, crate::parallel::current_threads(), f);
+        crate::parallel::par_map(&self.data, &mut out.data, f);
         out
     }
 
@@ -268,7 +258,7 @@ impl Matrix {
     /// (fully overwritten). Bit-identical to [`Matrix::map`].
     pub fn map_into(&self, out: &mut Matrix, f: impl Fn(f64) -> f64 + Sync) {
         assert_eq!(self.shape(), out.shape(), "map_into shape mismatch");
-        crate::parallel::par_map(&self.data, &mut out.data, crate::parallel::current_threads(), f);
+        crate::parallel::par_map(&self.data, &mut out.data, f);
     }
 
     /// Combines `self` and `rhs` entrywise into an existing buffer
@@ -276,13 +266,7 @@ impl Matrix {
     pub fn zip_into(&self, rhs: &Matrix, out: &mut Matrix, f: impl Fn(f64, f64) -> f64 + Sync) {
         assert_eq!(self.shape(), rhs.shape(), "zip_into shape mismatch");
         assert_eq!(self.shape(), out.shape(), "zip_into output shape mismatch");
-        crate::parallel::par_zip(
-            &self.data,
-            &rhs.data,
-            &mut out.data,
-            crate::parallel::current_threads(),
-            f,
-        );
+        crate::parallel::par_zip(&self.data, &rhs.data, &mut out.data, f);
     }
 
     /// Combines each entry with the matching entry of `rhs` in place:
@@ -337,13 +321,8 @@ impl Matrix {
         assert_eq!(out.shape(), (self.rows, rhs.rows), "matmul_nt_into output shape mismatch");
         let cols = rhs.rows;
         let work = self.rows * self.cols * cols;
-        let threads = if work < crate::parallel::MIN_PARALLEL_WORK {
-            1
-        } else {
-            crate::parallel::current_threads()
-        };
         let tier = crate::tile::resolve(work);
-        crate::parallel::par_rows(&mut out.data, cols, threads, |start, chunk| {
+        crate::parallel::par_rows(&mut out.data, cols, work, |start, chunk| {
             if tier == crate::tile::KernelTier::Tiled {
                 crate::tile::matmul_nt_chunk(self, rhs, start, chunk);
                 return;
@@ -383,13 +362,8 @@ impl Matrix {
         assert_eq!(out.shape(), (self.cols, rhs.cols), "matmul_tn_into output shape mismatch");
         let cols = rhs.cols;
         let work = self.rows * self.cols * cols;
-        let threads = if work < crate::parallel::MIN_PARALLEL_WORK {
-            1
-        } else {
-            crate::parallel::current_threads()
-        };
         let tier = crate::tile::resolve(work);
-        crate::parallel::par_rows(&mut out.data, cols, threads, |start, chunk| {
+        crate::parallel::par_rows(&mut out.data, cols, work, |start, chunk| {
             if tier == crate::tile::KernelTier::Tiled {
                 crate::tile::matmul_tn_chunk(self, rhs, start, chunk);
                 return;
@@ -431,13 +405,7 @@ impl Matrix {
     pub fn zip_with(&self, rhs: &Matrix, f: impl Fn(f64, f64) -> f64 + Sync) -> Matrix {
         assert_eq!(self.shape(), rhs.shape(), "zip_with shape mismatch");
         let mut out = Matrix::zeros(self.rows, self.cols);
-        crate::parallel::par_zip(
-            &self.data,
-            &rhs.data,
-            &mut out.data,
-            crate::parallel::current_threads(),
-            f,
-        );
+        crate::parallel::par_zip(&self.data, &rhs.data, &mut out.data, f);
         out
     }
 
@@ -452,7 +420,7 @@ impl Matrix {
     /// [`crate::parallel::par_sum`]) so the rounding never depends on
     /// the thread count.
     pub fn sum(&self) -> f64 {
-        crate::parallel::par_sum(&self.data, crate::parallel::current_threads())
+        crate::parallel::par_sum(&self.data)
     }
 
     /// Mean of all entries (`NaN` for an empty matrix).
@@ -472,8 +440,7 @@ impl Matrix {
 
     /// Frobenius norm.
     pub fn frobenius_norm(&self) -> f64 {
-        crate::parallel::par_sum_map(&self.data, crate::parallel::current_threads(), |x| x * x)
-            .sqrt()
+        crate::parallel::par_sum_map(&self.data, |x| x * x).sqrt()
     }
 
     /// Per-row sums.

@@ -122,12 +122,7 @@ impl CsrMatrix {
     pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
         assert_eq!(self.cols, v.len(), "matvec shape mismatch");
         let mut out = vec![0.0; self.rows];
-        let threads = if self.nnz() < crate::parallel::MIN_PARALLEL_WORK {
-            1
-        } else {
-            crate::parallel::current_threads()
-        };
-        crate::parallel::par_rows(&mut out, 1, threads, |start, chunk| {
+        crate::parallel::par_rows(&mut out, 1, self.nnz(), |start, chunk| {
             for (k, o) in chunk.iter_mut().enumerate() {
                 *o = self.row_entries(start + k).map(|(c, x)| x * v[c]).sum();
             }
@@ -155,12 +150,8 @@ impl CsrMatrix {
         assert_eq!(self.cols, rhs.rows(), "matmul shape mismatch");
         assert_eq!(out.shape(), (self.rows, rhs.cols()), "matmul_dense_into shape mismatch");
         let cols = rhs.cols();
-        let threads = if self.nnz() * cols.max(1) < crate::parallel::MIN_PARALLEL_WORK {
-            1
-        } else {
-            crate::parallel::current_threads()
-        };
-        crate::parallel::par_rows(out.as_mut_slice(), cols, threads, |start, chunk| {
+        let work = self.nnz() * cols.max(1);
+        crate::parallel::par_rows(out.as_mut_slice(), cols, work, |start, chunk| {
             for (r, dst) in chunk.chunks_mut(cols.max(1)).enumerate() {
                 let row = start + r;
                 dst.fill(0.0);
@@ -185,12 +176,8 @@ impl CsrMatrix {
         assert_eq!(self.cols, x.rows(), "axpby shape mismatch");
         assert_eq!(y.shape(), (self.rows, x.cols()), "axpby output shape mismatch");
         let cols = x.cols();
-        let threads = if self.nnz() * cols.max(1) < crate::parallel::MIN_PARALLEL_WORK {
-            1
-        } else {
-            crate::parallel::current_threads()
-        };
-        crate::parallel::par_rows(y.as_mut_slice(), cols, threads, |start, chunk| {
+        let work = self.nnz() * cols.max(1);
+        crate::parallel::par_rows(y.as_mut_slice(), cols, work, |start, chunk| {
             // Stack accumulator for the common narrow case keeps the
             // steady-state training step heap-allocation-free.
             let mut stack = [0.0f64; ACC_STACK_COLS];
@@ -229,12 +216,8 @@ impl CsrMatrix {
         assert_eq!(prev.shape(), (self.rows, x.cols()), "cheb_step prev shape mismatch");
         assert_eq!(out.shape(), (self.rows, x.cols()), "cheb_step output shape mismatch");
         let cols = x.cols();
-        let threads = if self.nnz() * cols.max(1) < crate::parallel::MIN_PARALLEL_WORK {
-            1
-        } else {
-            crate::parallel::current_threads()
-        };
-        crate::parallel::par_rows(out.as_mut_slice(), cols, threads, |start, chunk| {
+        let work = self.nnz() * cols.max(1);
+        crate::parallel::par_rows(out.as_mut_slice(), cols, work, |start, chunk| {
             for (r, dst) in chunk.chunks_mut(cols.max(1)).enumerate() {
                 let row = start + r;
                 dst.fill(0.0);
@@ -266,12 +249,8 @@ impl CsrMatrix {
         assert_eq!(b.shape(), (self.rows, x.cols()), "clenshaw b shape mismatch");
         assert_eq!(c2.shape(), b.shape(), "clenshaw c2 shape mismatch");
         let cols = x.cols();
-        let threads = if self.nnz() * cols.max(1) < crate::parallel::MIN_PARALLEL_WORK {
-            1
-        } else {
-            crate::parallel::current_threads()
-        };
-        crate::parallel::par_rows(c2.as_mut_slice(), cols, threads, |start, chunk| {
+        let work = self.nnz() * cols.max(1);
+        crate::parallel::par_rows(c2.as_mut_slice(), cols, work, |start, chunk| {
             // Stack accumulator for the common narrow case keeps the
             // steady-state training step heap-allocation-free.
             let mut stack = [0.0f64; ACC_STACK_COLS];

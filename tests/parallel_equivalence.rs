@@ -153,8 +153,8 @@ fn large_matmul_exercises_parallel_path_bitwise() {
 /// End-to-end training determinism: the same seed must produce
 /// bit-identical epoch losses and a byte-identical final `ParamStore`
 /// checkpoint for every thread count — whether the count comes from
-/// `ModelConfig::with_threads` or from the ambient `GCWC_THREADS` /
-/// global resolution chain.
+/// `with_threads` or from the global level of the resolution chain
+/// (`set_global_threads` / `GCWC_THREADS` / available parallelism).
 #[test]
 fn training_is_thread_count_invariant_end_to_end() {
     use gcwc::{build_samples, CompletionModel, GcwcModel, ModelConfig, TaskKind};
@@ -172,8 +172,8 @@ fn training_is_thread_count_invariant_end_to_end() {
     let idx: Vec<usize> = (0..ds.len()).collect();
     let samples = build_samples(&ds, &idx, TaskKind::Estimation, 0);
 
-    let run = |threads: usize, tag: &str| -> (Vec<u64>, Vec<u8>) {
-        let cfg = ModelConfig::hw_hist().with_epochs(3).with_threads(threads);
+    let run = |tag: &str| -> (Vec<u64>, Vec<u8>) {
+        let cfg = ModelConfig::hw_hist().with_epochs(3);
         let mut model = GcwcModel::new(&hw.graph, 8, cfg, 7);
         model.fit(&samples);
         let losses: Vec<u64> =
@@ -185,22 +185,84 @@ fn training_is_thread_count_invariant_end_to_end() {
         (losses, bytes)
     };
 
-    let (serial_losses, serial_store) = run(1, "serial");
+    let (serial_losses, serial_store) = with_threads(1, || run("serial"));
     assert_eq!(serial_losses.len(), 3);
     for t in [2, 4, 8] {
-        let (losses, store) = run(t, &format!("t{t}"));
+        let (losses, store) = with_threads(t, || run(&format!("t{t}")));
         assert_eq!(losses, serial_losses, "epoch losses diverged at {t} threads");
         assert_eq!(store, serial_store, "final ParamStore diverged at {t} threads");
     }
 
-    // threads = 0 defers to the ambient chain (GCWC_THREADS env var /
-    // set_global_threads / available parallelism); pin the global so
-    // the test is reproducible, then restore lazy resolution.
+    // Without an override the count comes from the global level; pin it
+    // so the test is reproducible, then restore lazy resolution.
     gcwc_linalg::parallel::set_global_threads(3);
-    let (losses, store) = run(0, "ambient");
+    let (losses, store) = run("ambient");
     gcwc_linalg::parallel::set_global_threads(0);
     assert_eq!(losses, serial_losses, "epoch losses diverged under ambient threads");
     assert_eq!(store, serial_store, "final ParamStore diverged under ambient threads");
+}
+
+/// The training loop on its own, with a loss whose gradient depends on
+/// the per-sample RNG: epoch losses and weights are bit-identical for
+/// every worker count, so the RNG stream is thread-count invariant too.
+/// Seven samples in batches of three give parts of uneven length.
+#[test]
+fn training_is_bit_identical_across_thread_counts() {
+    use gcwc::train::{run_training, TrainControl};
+    use gcwc_nn::{OptimConfig, ParamStore};
+    use rand::Rng;
+
+    let samples: Vec<gcwc::TrainSample> = (0..7)
+        .map(|i| {
+            let target = i as f64 * 0.5 - 1.0;
+            gcwc::TrainSample {
+                snapshot_index: i,
+                input: Matrix::filled(1, 1, target),
+                label: Matrix::filled(1, 1, target),
+                label_mask: vec![1.0],
+                context: gcwc_traffic::Context {
+                    time_of_day: 0,
+                    day_of_week: 0,
+                    intervals_per_day: 96,
+                    row_flags: vec![1.0],
+                },
+                history: Vec::new(),
+            }
+        })
+        .collect();
+    let noisy_run = |threads: usize| -> (Vec<u64>, Vec<u64>) {
+        let mut store = ParamStore::new();
+        let w = store.add("w", Matrix::filled(2, 3, 0.4));
+        let mut rng = gcwc_linalg::rng::seeded(99);
+        let report = with_threads(threads, || {
+            run_training(
+                &mut store,
+                OptimConfig { learning_rate: 0.05, ..Default::default() },
+                4,
+                3,
+                &samples,
+                &mut rng,
+                &TrainControl::default(),
+                |tape, store, sample, rng| {
+                    let wn = tape.param(store, w);
+                    let jitter = rng.random::<f64>() * 0.1;
+                    let scaled = tape.scale(wn, 1.0 + jitter);
+                    let target = Matrix::filled(2, 3, sample.label[(0, 0)]);
+                    tape.mse_masked(scaled, target, Matrix::filled(2, 3, 1.0))
+                },
+            )
+        })
+        .unwrap();
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        (bits(&report.epoch_losses), bits(store.value(w).as_slice()))
+    };
+
+    let (serial_losses, serial_w) = noisy_run(1);
+    for threads in [2, 3, 4, 8] {
+        let (losses, w) = noisy_run(threads);
+        assert_eq!(losses, serial_losses, "epoch losses diverged at {threads} threads");
+        assert_eq!(w, serial_w, "final weights diverged at {threads} threads");
+    }
 }
 
 /// Same guarantee for the sparse kernel at a size that engages workers.
@@ -305,17 +367,17 @@ fn training_bits_match_the_pinned_digests() {
         for threads in [1, 2] {
             // The CI model scaled down to one light conv stage, so that
             // eight trainings stay fast in a debug build.
-            let mut cfg = ModelConfig::ci_hist().with_epochs(2).with_threads(threads);
+            let mut cfg = ModelConfig::ci_hist().with_epochs(2);
             cfg.conv_layers = vec![ConvLayer { cheb_order: 2, filters: 2, pool: 2 }];
             cfg.batch_size = 3;
             let tag = format!("pinned-{n}-t{threads}");
             let mut gcwc = GcwcModel::new(graph, 8, cfg.clone(), 7);
-            gcwc.fit(&samples);
+            with_threads(threads, || gcwc.fit(&samples));
             let got = checkpoint_digest(&format!("{tag}-gcwc"), |p| gcwc.save(p));
             assert_eq!(got, want_gcwc, "GCWC on {n} edges at {threads} threads");
 
             let mut agcwc = AGcwcModel::new(graph, 8, 96, cfg, 7);
-            agcwc.fit(&samples);
+            with_threads(threads, || agcwc.fit(&samples));
             let got = checkpoint_digest(&format!("{tag}-agcwc"), |p| agcwc.save(p));
             assert_eq!(got, want_agcwc, "A-GCWC on {n} edges at {threads} threads");
         }
