@@ -82,10 +82,10 @@ impl GcwcModel {
     }
 
     /// Restores parameters from a checkpoint produced by a model with
-    /// the identical architecture (header validated when present).
+    /// the identical architecture (the header's architecture token).
     pub fn load(&mut self, path: &std::path::Path) -> Result<(), gcwc_nn::PersistError> {
         let arch = self.arch_string();
-        gcwc_nn::persist::load_expecting(&mut self.store, path, Some(&arch))
+        gcwc_nn::persist::load_expecting(&mut self.store, path, &arch)
     }
 
     /// Tape-free batched inference: runs `count` requests (provided by

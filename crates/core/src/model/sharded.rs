@@ -27,7 +27,7 @@
 //! Training is thread-count invariant, so this placement never changes
 //! a shard's bits.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use gcwc_graph::delta::{DeltaError, DeltaRepair, GraphDelta};
@@ -141,6 +141,29 @@ impl ShardModel for AGcwcModel {
 // Shard seed derivation lives with the partitioning logic; re-exported
 // here so existing `gcwc_core::shard_seed` callers keep working.
 pub use gcwc_graph::shard_seed;
+
+/// Shard `k`'s checkpoint in the set saved under `dir` as `stem`:
+/// `{stem}.shard{k}.ckpt`.
+pub fn shard_checkpoint_path(dir: &Path, stem: &str, k: usize) -> PathBuf {
+    dir.join(format!("{stem}.shard{k}.ckpt"))
+}
+
+/// Shard `k`'s training-state checkpoints under `dir`, in
+/// `{stem}.shard{k}.trainstate`, written every `every_epochs` epochs.
+fn state_checkpoints<'a>(
+    dir: &'a Path,
+    stem: &'a str,
+    every_epochs: usize,
+    resume: bool,
+) -> impl Fn(usize) -> TrainControl + Sync + 'a {
+    move |k| TrainControl {
+        checkpoint: Some(CheckpointPlan {
+            path: dir.join(format!("{stem}.shard{k}.trainstate")),
+            every_epochs,
+            resume,
+        }),
+    }
+}
 
 /// K per-partition completion models over one [`PartitionSet`].
 pub struct ShardedModel<M> {
@@ -343,22 +366,28 @@ impl<M: ShardModel> ShardedModel<M> {
         every_epochs: usize,
         resume: bool,
     ) -> Result<(), TrainError> {
-        self.try_fit_shards(samples, |k| TrainControl {
-            checkpoint: Some(CheckpointPlan {
-                path: dir.join(format!("{stem}.shard{k}.trainstate")),
-                every_epochs,
-                resume,
-            }),
-            ..TrainControl::default()
-        })
+        self.try_fit_shards(samples, state_checkpoints(dir, stem, every_epochs, resume))
     }
 
     /// Warm-start fine-tuning of every shard on its local restriction
-    /// of `samples` under `plan`, with the same periodic training-state
-    /// checkpoints (and divergence guard) as
-    /// [`ShardedModel::fit_shards_resumable`]. The incremental-refresh
-    /// path: load the current checkpoint set, fine-tune on fresh slots
-    /// only, and hand the shards to the serving registry.
+    /// of `samples` under `plan`, in memory and under the divergence
+    /// guard. The incremental-refresh path: load the current checkpoint
+    /// set, fine-tune on fresh slots only, and hand the shards to the
+    /// serving registry.
+    pub fn fine_tune_shards(
+        &mut self,
+        samples: &[TrainSample],
+        plan: &FineTunePlan,
+    ) -> Result<(), TrainError> {
+        self.fine_tune_each(samples, plan, |_| TrainControl::default())
+    }
+
+    /// [`ShardedModel::fine_tune_shards`] that also writes periodic
+    /// training-state checkpoints, as
+    /// [`ShardedModel::fit_shards_resumable`] does; with `resume` unset
+    /// the result is bit-identical to [`ShardedModel::fine_tune_shards`].
+    /// No product path calls it: `RefreshDriver` fine-tunes in memory.
+    /// It stays for perfbench's live-city replay (see ROADMAP).
     pub fn fine_tune_shards_resumable(
         &mut self,
         samples: &[TrainSample],
@@ -368,20 +397,20 @@ impl<M: ShardModel> ShardedModel<M> {
         resume: bool,
         plan: &FineTunePlan,
     ) -> Result<(), TrainError> {
+        self.fine_tune_each(samples, plan, state_checkpoints(dir, stem, every_epochs, resume))
+    }
+
+    /// Fine-tunes every shard, shard `k` under `control_for(k)`.
+    fn fine_tune_each(
+        &mut self,
+        samples: &[TrainSample],
+        plan: &FineTunePlan,
+        control_for: impl Fn(usize) -> TrainControl + Sync,
+    ) -> Result<(), TrainError> {
         let all: Vec<usize> = (0..self.shards.len()).collect();
-        self.run_shards(
-            &all,
-            samples,
-            |k| TrainControl {
-                checkpoint: Some(CheckpointPlan {
-                    path: dir.join(format!("{stem}.shard{k}.trainstate")),
-                    every_epochs,
-                    resume,
-                }),
-                ..TrainControl::default()
-            },
-            |shard, local, control| shard.fine_tune(local, plan, control),
-        )
+        self.run_shards(&all, samples, control_for, |shard, local, control| {
+            shard.fine_tune(local, plan, control)
+        })
     }
 
     /// Absorbs a topology delta: repairs the partition set over
@@ -452,25 +481,21 @@ impl<M: ShardModel> ShardedModel<M> {
         self.shards.iter().map(|s| s.last_report()).collect()
     }
 
-    /// Saves every shard as `{stem}.shard{k}.ckpt` under `dir`.
-    pub fn save_shards(
-        &self,
-        dir: &Path,
-        stem: &str,
-    ) -> Result<Vec<std::path::PathBuf>, PersistError> {
+    /// Saves every shard under `dir` at [`shard_checkpoint_path`].
+    pub fn save_shards(&self, dir: &Path, stem: &str) -> Result<Vec<PathBuf>, PersistError> {
         let mut paths = Vec::with_capacity(self.shards.len());
         for (k, shard) in self.shards.iter().enumerate() {
-            let path = dir.join(format!("{stem}.shard{k}.ckpt"));
+            let path = shard_checkpoint_path(dir, stem, k);
             shard.save(&path)?;
             paths.push(path);
         }
         Ok(paths)
     }
 
-    /// Loads every shard from `{stem}.shard{k}.ckpt` under `dir`.
+    /// Loads every shard from its [`shard_checkpoint_path`] under `dir`.
     pub fn load_shards(&mut self, dir: &Path, stem: &str) -> Result<(), PersistError> {
         for (k, shard) in self.shards.iter_mut().enumerate() {
-            shard.load(&dir.join(format!("{stem}.shard{k}.ckpt")))?;
+            shard.load(&shard_checkpoint_path(dir, stem, k))?;
         }
         Ok(())
     }

@@ -37,7 +37,7 @@
 //! always makes some updated value non-finite). A rejected step writes
 //! nothing, so there is nothing to undo: the batch is retried with
 //! freshly drawn per-sample seeds, and after
-//! [`TrainControl::max_bad_batches`] consecutive failures the run
+//! [`DEFAULT_MAX_BAD_BATCHES`] consecutive failures the run
 //! aborts with [`TrainError::Diverged`] instead of silently training a
 //! poisoned model. Clean batches take the exact same numeric path as
 //! an unguarded step — the check is a pure read and consumes no
@@ -96,7 +96,7 @@ impl TrainReport {
 #[derive(Debug)]
 pub enum TrainError {
     /// One mini-batch produced a non-finite loss, gradient, or
-    /// parameter on [`TrainControl::max_bad_batches`] consecutive
+    /// parameter on [`DEFAULT_MAX_BAD_BATCHES`] consecutive
     /// attempts; the store holds the parameters of the last accepted
     /// step, since a rejected step writes nothing.
     Diverged {
@@ -148,28 +148,11 @@ pub struct CheckpointPlan {
     pub resume: bool,
 }
 
-impl CheckpointPlan {
-    /// Checkpoints to `path` every `every_epochs` epochs, resuming from
-    /// an existing state file.
-    pub fn resuming(path: impl Into<PathBuf>, every_epochs: usize) -> Self {
-        Self { path: path.into(), every_epochs, resume: true }
-    }
-}
-
-/// Robustness knobs of [`run_training`].
-#[derive(Clone, Debug)]
+/// Options of [`run_training`] beyond its schedule.
+#[derive(Clone, Debug, Default)]
 pub struct TrainControl {
-    /// Consecutive bad attempts at one batch before
-    /// [`TrainError::Diverged`] aborts the run.
-    pub max_bad_batches: u32,
     /// Optional periodic training-state persistence.
     pub checkpoint: Option<CheckpointPlan>,
-}
-
-impl Default for TrainControl {
-    fn default() -> Self {
-        Self { max_bad_batches: DEFAULT_MAX_BAD_BATCHES, checkpoint: None }
-    }
 }
 
 /// Schedule of a warm-start fine-tune pass: a short run that continues
@@ -201,9 +184,8 @@ impl Default for FineTunePlan {
 /// (see the module docs). Epoch losses and parameter updates are
 /// bit-identical for every thread count; `forward_loss` receives a
 /// per-sample RNG seeded from the master stream in batch order, so it
-/// must derive all randomness from that argument. `control` sets the
-/// divergence guard's threshold and an optional checkpoint-and-resume
-/// plan.
+/// must derive all randomness from that argument. `control` sets an
+/// optional checkpoint-and-resume plan.
 #[allow(clippy::too_many_arguments)] // deliberate flat signature: one call per model, no builder worth it
 pub fn run_training(
     store: &mut ParamStore,
@@ -216,7 +198,6 @@ pub fn run_training(
     forward_loss: impl Fn(&mut Tape, &ParamStore, &TrainSample, &mut StdRng) -> NodeId + Sync,
 ) -> Result<TrainReport, TrainError> {
     assert!(batch_size >= 1, "batch size must be positive");
-    assert!(control.max_bad_batches >= 1, "max_bad_batches must be positive");
     let mut report = TrainReport::default();
     if samples.is_empty() {
         return Ok(report);
@@ -305,7 +286,7 @@ pub fn run_training(
                     break;
                 }
                 bad_batches += 1;
-                if bad_batches >= control.max_bad_batches {
+                if bad_batches >= DEFAULT_MAX_BAD_BATCHES {
                     return Err(TrainError::Diverged { epoch, batch: batch_index, bad_batches });
                 }
             }
@@ -500,7 +481,6 @@ mod tests {
                     every_epochs: 1,
                     resume: false,
                 }),
-                ..TrainControl::default()
             };
             let result = toy_run(&control);
             gcwc_failpoint::remove(failsite::CHECKPOINT_SAVE);

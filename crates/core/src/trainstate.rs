@@ -3,27 +3,22 @@
 //! A [`TrainState`] captures everything `run_training` needs to
 //! continue a run exactly where it stopped: the parameter values, the
 //! Adam moments and counters, the master RNG's raw state, the current
-//! shuffle order, and the epoch losses recorded so far. The format is
-//! the same dependency-free text-plus-hex style as `gcwc_nn::persist`
-//! (lossless IEEE-754 round trip), so a run killed between epochs and
-//! restarted with `resume` reproduces the uninterrupted run bit for
-//! bit.
-//!
-//! Files are written atomically: the state is serialised to a `.tmp`
-//! sibling and renamed over the target, so a crash mid-write leaves
-//! either the previous complete state or none at all — never a torn
-//! file.
+//! shuffle order, and the epoch losses recorded so far. It is written
+//! through `gcwc_nn::persist::write_atomic` (a crash mid-write leaves
+//! the previous state or the new one, never a torn file) and read back
+//! by its `Reader`, as text with hexadecimal IEEE-754 values: a run
+//! killed between epochs and restarted with `resume` reproduces the
+//! uninterrupted run bit for bit.
 
+use std::fmt::Write as _;
 use std::path::Path;
 
 use gcwc_linalg::Matrix;
+use gcwc_nn::persist::{self, Reader};
 use gcwc_nn::{AdamState, ParamStore, PersistError};
 
-/// Leading keyword of the training-state header line.
-const HEADER: &str = "gcwc-trainstate";
-
-/// Current training-state format version.
-pub const FORMAT_VERSION: u32 = 1;
+/// The training-state header line: keyword and version.
+const HEADER: &str = "gcwc-trainstate v1";
 
 /// A complete snapshot of an in-progress training run at an epoch
 /// boundary.
@@ -47,100 +42,67 @@ pub struct TrainState {
 impl TrainState {
     /// Serialises the state to the text format.
     pub fn to_text(&self) -> String {
-        let mut out = format!("{HEADER} v{FORMAT_VERSION}\n");
-        out.push_str(&format!(
-            "run {} rng {:016x} {:016x} {:016x} {:016x}\n",
-            self.epochs_done,
-            self.rng_state[0],
-            self.rng_state[1],
-            self.rng_state[2],
-            self.rng_state[3]
-        ));
-        out.push_str(&format!("order {}\n", self.order.len()));
-        push_usizes(&mut out, &self.order);
-        out.push_str(&format!("losses {}\n", self.epoch_losses.len()));
-        push_hex(&mut out, &self.epoch_losses);
-        out.push_str(&format!("adam {} {}\n", self.adam.t, self.adam.epoch));
-        out.push_str(&format!("params {}\n", self.params.len()));
+        let mut out = format!("{HEADER}\n");
+        let [a, b, c, d] = self.rng_state;
+        let _ = writeln!(out, "run {} rng {a:016x} {b:016x} {c:016x} {d:016x}", self.epochs_done);
+        let _ = writeln!(out, "order {}", self.order.len());
+        persist::push_lines(&mut out, &self.order, 16, |out, v| write!(out, "{v}"));
+        let _ = writeln!(out, "losses {}", self.epoch_losses.len());
+        persist::push_hex(&mut out, &self.epoch_losses);
+        let _ = writeln!(out, "adam {} {}", self.adam.t, self.adam.epoch);
+        let _ = writeln!(out, "params {}", self.params.len());
         for (i, (name, value)) in self.params.iter().enumerate() {
-            let m = &self.adam.m[i];
-            let v = &self.adam.v[i];
-            out.push_str(&format!("param {name} {} {}\n", value.rows(), value.cols()));
-            push_hex(&mut out, value.as_slice());
-            push_hex(&mut out, m.as_slice());
-            push_hex(&mut out, v.as_slice());
+            let _ = writeln!(out, "param {name} {} {}", value.rows(), value.cols());
+            persist::push_hex(&mut out, value.as_slice());
+            persist::push_hex(&mut out, self.adam.m[i].as_slice());
+            persist::push_hex(&mut out, self.adam.v[i].as_slice());
         }
         out
     }
 
-    /// Parses state text written by [`TrainState::to_text`].
-    ///
-    /// Counts in the text are not trusted: nothing is reserved for them
-    /// up front, so a count larger than the text holds ends in
-    /// [`PersistError::Format`] when the values run out, never in a huge
-    /// allocation.
+    /// Parses state text written by [`TrainState::to_text`] with the
+    /// bounded reader of `gcwc_nn::persist`: a count larger than the
+    /// text holds ends in [`PersistError::Format`] when the values run
+    /// out, never in a huge allocation.
     pub fn from_text(content: &str) -> Result<Self, PersistError> {
-        let mut tok = content.split_whitespace();
-        expect(&mut tok, HEADER)?;
-        let version = next(&mut tok, "format version")?;
-        let number: u32 = version
-            .strip_prefix('v')
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| PersistError::Format(format!("bad format version '{version}'")))?;
-        if number == 0 || number > FORMAT_VERSION {
-            return Err(PersistError::Format(format!(
-                "unsupported training-state version {number} (max supported {FORMAT_VERSION})"
-            )));
-        }
-        expect(&mut tok, "run")?;
-        let epochs_done = parse_num(&mut tok, "epochs done")?;
-        expect(&mut tok, "rng")?;
+        let mut r = Reader::new(content);
+        r.expect(HEADER)?;
+        r.expect("run")?;
+        let epochs_done = r.number("the epochs done")?;
+        r.expect("rng")?;
         let mut rng_state = [0u64; 4];
-        for slot in &mut rng_state {
-            *slot = parse_u64_hex(&mut tok, "rng state word")?;
+        for word in &mut rng_state {
+            *word = r.hex("an rng state word")?;
         }
-        expect(&mut tok, "order")?;
-        let order_len: usize = parse_num(&mut tok, "order length")?;
-        let mut order = Vec::new();
-        for _ in 0..order_len {
-            order.push(parse_num(&mut tok, "order entry")?);
-        }
-        expect(&mut tok, "losses")?;
-        let losses_len: usize = parse_num(&mut tok, "loss count")?;
-        let mut epoch_losses = Vec::new();
-        for _ in 0..losses_len {
-            epoch_losses.push(f64::from_bits(parse_u64_hex(&mut tok, "epoch loss")?));
-        }
-        expect(&mut tok, "adam")?;
-        let t: u64 = parse_num(&mut tok, "adam step counter")?;
-        let epoch: u32 = parse_num(&mut tok, "adam epoch counter")?;
-        expect(&mut tok, "params")?;
-        let param_count: usize = parse_num(&mut tok, "parameter count")?;
-        let mut params = Vec::new();
+        r.expect("order")?;
+        let len = r.number("the order length")?;
+        let order = r.list(len, 1, |r| r.number("an order entry"))?;
+        r.expect("losses")?;
+        let len = r.number("the loss count")?;
+        let epoch_losses = r.list(len, 1, |r| r.f64("an epoch loss"))?;
+        r.expect("adam")?;
+        let t = r.number("the adam step counter")?;
+        let epoch = r.number("the adam epoch counter")?;
         let mut adam = AdamState { t, epoch, m: Vec::new(), v: Vec::new() };
-        for _ in 0..param_count {
-            expect(&mut tok, "param")?;
-            let name = next(&mut tok, "parameter name")?.to_owned();
-            let rows: usize = parse_num(&mut tok, "row count")?;
-            let cols: usize = parse_num(&mut tok, "column count")?;
-            params.push((name, parse_matrix(&mut tok, rows, cols)?));
-            adam.m.push(parse_matrix(&mut tok, rows, cols)?);
-            adam.v.push(parse_matrix(&mut tok, rows, cols)?);
-        }
-        if tok.next().is_some() {
-            return Err(PersistError::Format("trailing tokens after training state".into()));
-        }
+        r.expect("params")?;
+        let len = r.number("the parameter count")?;
+        // `param <name> <rows> <cols>` takes four tokens.
+        let params = r.list(len, 4, |r| {
+            r.expect("param")?;
+            let name = r.next("a parameter name")?.to_owned();
+            let (rows, cols) = (r.number("a row count")?, r.number("a column count")?);
+            let value = r.matrix(rows, cols, "parameter values")?;
+            adam.m.push(r.matrix(rows, cols, "first moments")?);
+            adam.v.push(r.matrix(rows, cols, "second moments")?);
+            Ok((name, value))
+        })?;
+        r.finish()?;
         Ok(Self { epochs_done, rng_state, order, epoch_losses, adam, params })
     }
 
-    /// Writes the state atomically: serialise to `<path>.tmp`, then
-    /// rename over `path`.
+    /// Writes the state through `gcwc_nn::persist::write_atomic`.
     pub fn save_atomic(&self, path: &Path) -> Result<(), PersistError> {
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        std::fs::write(&tmp, self.to_text())?;
-        std::fs::rename(&tmp, path)?;
+        persist::write_atomic(path, &self.to_text())?;
         Ok(())
     }
 
@@ -165,19 +127,7 @@ impl TrainState {
             )));
         }
         for ((name, value), (_, p)) in self.params.iter().zip(store.iter()) {
-            if *name != p.name {
-                return Err(PersistError::Mismatch(format!(
-                    "expected parameter '{}', training state has '{name}'",
-                    p.name
-                )));
-            }
-            if value.shape() != p.value.shape() {
-                return Err(PersistError::Mismatch(format!(
-                    "parameter '{name}': shape {:?} vs training state {:?}",
-                    p.value.shape(),
-                    value.shape()
-                )));
-            }
+            persist::expect_param(p, name, value.shape())?;
         }
         if self.order.len() != num_samples {
             return Err(PersistError::Mismatch(format!(
@@ -200,74 +150,6 @@ impl TrainState {
         }
         Ok(())
     }
-}
-
-fn push_hex(out: &mut String, values: &[f64]) {
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(if i % 8 == 0 { '\n' } else { ' ' });
-        }
-        out.push_str(&format!("{:016x}", v.to_bits()));
-    }
-    if !values.is_empty() {
-        out.push('\n');
-    }
-}
-
-fn push_usizes(out: &mut String, values: &[usize]) {
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(if i % 16 == 0 { '\n' } else { ' ' });
-        }
-        out.push_str(&format!("{v}"));
-    }
-    if !values.is_empty() {
-        out.push('\n');
-    }
-}
-
-fn next<'a>(tok: &mut impl Iterator<Item = &'a str>, what: &str) -> Result<&'a str, PersistError> {
-    tok.next().ok_or_else(|| PersistError::Format(format!("training state missing {what}")))
-}
-
-fn expect<'a>(tok: &mut impl Iterator<Item = &'a str>, keyword: &str) -> Result<(), PersistError> {
-    let got = next(tok, keyword)?;
-    if got != keyword {
-        return Err(PersistError::Format(format!("expected '{keyword}', got '{got}'")));
-    }
-    Ok(())
-}
-
-fn parse_num<'a, T: std::str::FromStr>(
-    tok: &mut impl Iterator<Item = &'a str>,
-    what: &str,
-) -> Result<T, PersistError> {
-    next(tok, what)?
-        .parse()
-        .map_err(|_| PersistError::Format(format!("bad {what} in training state")))
-}
-
-fn parse_u64_hex<'a>(
-    tok: &mut impl Iterator<Item = &'a str>,
-    what: &str,
-) -> Result<u64, PersistError> {
-    let t = next(tok, what)?;
-    u64::from_str_radix(t, 16).map_err(|_| PersistError::Format(format!("bad {what} '{t}'")))
-}
-
-fn parse_matrix<'a>(
-    tok: &mut impl Iterator<Item = &'a str>,
-    rows: usize,
-    cols: usize,
-) -> Result<Matrix, PersistError> {
-    let len = rows
-        .checked_mul(cols)
-        .ok_or_else(|| PersistError::Format(format!("matrix shape {rows}x{cols} overflows")))?;
-    let mut data = Vec::new();
-    for _ in 0..len {
-        data.push(f64::from_bits(parse_u64_hex(tok, "matrix value")?));
-    }
-    Ok(Matrix::from_vec(rows, cols, data))
 }
 
 #[cfg(test)]

@@ -58,10 +58,7 @@ fn checkpoint_bytes(model: &GcwcModel, dir: &Path, name: &str) -> Vec<u8> {
 }
 
 fn plan(path: PathBuf) -> TrainControl {
-    TrainControl {
-        checkpoint: Some(CheckpointPlan { path, every_epochs: 2, resume: true }),
-        ..TrainControl::default()
-    }
+    TrainControl { checkpoint: Some(CheckpointPlan { path, every_epochs: 2, resume: true }) }
 }
 
 #[test]

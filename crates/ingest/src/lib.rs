@@ -130,3 +130,15 @@ impl From<gcwc::TrainError> for IngestError {
         IngestError::Train(e)
     }
 }
+
+/// Reads the segment or manifest at `path` whole with `parse`, refusing
+/// tokens it leaves over; a malformed file is [`IngestError::Corrupt`].
+fn read_file<T>(
+    path: &std::path::Path,
+    parse: impl FnOnce(&mut gcwc_nn::persist::Reader<'_>) -> Result<T, gcwc_nn::PersistError>,
+) -> Result<T, IngestError> {
+    let text = std::fs::read_to_string(path)?;
+    let mut r = gcwc_nn::persist::Reader::new(&text);
+    let value = parse(&mut r).and_then(|value| r.finish().map(|()| value));
+    value.map_err(|e| IngestError::Corrupt { path: path.into(), reason: e.to_string() })
+}

@@ -2,13 +2,13 @@
 //!
 //! Records accumulate in a pre-allocated in-memory buffer (the
 //! *active* segment); once it reaches the configured capacity it is
-//! written out as one immutable segment file via the same atomic
-//! tmp+rename pattern as `gcwc::TrainState::save_atomic` — the file
-//! either exists whole or not at all, so a crash at any instant leaves
-//! only complete segments on disk (plus at most one `.tmp` leftover,
-//! which [`RecordLog::open`] discards). The durability unit is the
-//! segment: a crash loses at most the records of the active buffer,
-//! never tears a published one.
+//! written out as one immutable segment file through
+//! `gcwc_nn::persist::write_atomic` — the file either exists whole or
+//! not at all, so a crash at any instant leaves only complete segments
+//! on disk (plus at most one `segment-XXXXXXXX.seg.tmp` leftover, which
+//! [`RecordLog::open`] discards). The durability unit is the segment: a
+//! crash loses at most the records of the active buffer, never tears a
+//! published one.
 //!
 //! Segment format (text, speeds as raw `f64` bit patterns in hex so
 //! replay is bit-lossless):
@@ -22,6 +22,8 @@
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
+
+use gcwc_nn::persist;
 
 use crate::record::SpeedRecord;
 use crate::IngestError;
@@ -150,12 +152,7 @@ impl RecordLog {
         for r in &self.active {
             let _ = writeln!(self.scratch, "{} {} {:016x}", r.edge, r.timestamp, r.speed.to_bits());
         }
-        // Atomic publish: write the whole segment to a `.tmp` sibling,
-        // then rename over the final name. Readers never observe a
-        // partially written segment.
-        let tmp = path.with_extension(format!("{SEGMENT_EXT}.tmp"));
-        fs::write(&tmp, &self.scratch)?;
-        fs::rename(&tmp, &path)?;
+        persist::write_atomic(&path, &self.scratch)?;
         self.persisted += self.active.len() as u64;
         self.active.clear();
         self.next_seq += 1;
@@ -170,48 +167,19 @@ fn parse_segment_name(name: &str) -> Option<u64> {
 }
 
 fn read_segment(path: &Path) -> Result<Vec<SpeedRecord>, IngestError> {
-    let corrupt =
-        |reason: &str| IngestError::Corrupt { path: path.to_path_buf(), reason: reason.to_owned() };
-    let text = fs::read_to_string(path)?;
-    let mut lines = text.lines();
-    if lines.next() != Some(MAGIC) {
-        return Err(corrupt("bad magic line"));
-    }
-    let count: usize = lines
-        .next()
-        .and_then(|l| l.strip_prefix("records "))
-        .and_then(|n| n.parse().ok())
-        .ok_or_else(|| corrupt("bad record-count line"))?;
-    // `count` comes from the file itself: reserve no more records than
-    // the text can hold (each takes at least one byte), so a corrupt
-    // header cannot demand an arbitrarily large allocation.
-    let mut records = Vec::with_capacity(count.min(text.len()));
-    for line in lines.by_ref().take(count) {
-        let mut tok = line.split_whitespace();
-        let edge: u32 =
-            tok.next().and_then(|t| t.parse().ok()).ok_or_else(|| corrupt("bad edge field"))?;
-        let timestamp: u64 = tok
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| corrupt("bad timestamp field"))?;
-        let bits = tok
-            .next()
-            .and_then(|t| u64::from_str_radix(t, 16).ok())
-            .ok_or_else(|| corrupt("bad speed field"))?;
-        if tok.next().is_some() {
-            return Err(corrupt("extra field on a record line"));
-        }
-        records.push(SpeedRecord { edge, timestamp, speed: f64::from_bits(bits) });
-    }
-    if records.len() != count {
-        return Err(corrupt("truncated segment"));
-    }
-    // A writer puts exactly `count` records in a segment: anything
-    // after them means the header and the data disagree.
-    if lines.any(|l| !l.trim().is_empty()) {
-        return Err(corrupt("data after the last record"));
-    }
-    Ok(records)
+    crate::read_file(path, |r| {
+        r.expect(MAGIC)?;
+        r.expect("records")?;
+        let count = r.number("the record count")?;
+        // `<edge> <timestamp> <speed>` takes three tokens.
+        r.list(count, 3, |r| {
+            Ok(SpeedRecord {
+                edge: r.number("an edge")?,
+                timestamp: r.number("a timestamp")?,
+                speed: r.f64("a speed")?,
+            })
+        })
+    })
 }
 
 #[cfg(test)]
@@ -295,7 +263,8 @@ mod tests {
             fs::write(dir.join("segment-00000001.seg"), text).unwrap();
             let err = RecordLog::open(&dir, 2).err().expect("a corrupt segment must not open");
             assert!(
-                matches!(&err, IngestError::Corrupt { reason, .. } if reason == "truncated segment"),
+                matches!(&err, IngestError::Corrupt { reason, .. }
+                    if reason == "malformed file: expected an edge, found end of input"),
                 "records {count}: {err}"
             );
         }

@@ -6,16 +6,17 @@
 //!
 //! Checkpoint generations live under `dir` as
 //! `{stem}.g{G}.shard{k}.ckpt`; the **manifest** (`{stem}.manifest`,
-//! written by atomic tmp+rename) names the committed generation `G`.
-//! A refresh:
+//! written by `gcwc_nn::persist::write_atomic`) names the committed
+//! generation `G`. Nothing else is written there. A refresh:
 //!
 //! 1. builds a candidate from the factory and warm-starts it from the
 //!    committed generation's checkpoints;
 //! 2. scores the candidate on the holdout slots (`prev_loss` — the
 //!    serving model's loss, since parameters are identical);
-//! 3. fine-tunes on the *fresh* train slots only (slots not consumed
-//!    by an earlier refresh) under the divergence guard, with
-//!    resumable training-state checkpoints;
+//! 3. fine-tunes in memory on the *fresh* train slots only (slots not
+//!    consumed by an earlier refresh) under the divergence guard. It
+//!    writes no training state: a crashed refresh restarts from the
+//!    committed generation;
 //! 4. re-scores the holdout (`cand_loss`); if the candidate regressed
 //!    past the configured tolerance the refresh **rolls back**: no
 //!    files change, the registry keeps serving, and the offending
@@ -37,8 +38,10 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use gcwc::model::sharded::shard_checkpoint_path;
 use gcwc::FineTunePlan;
 use gcwc::{GcwcModel, ShardedModel, TrainSample};
+use gcwc_nn::{persist, PersistError};
 use gcwc_serve::{AnyModel, IngestStats, ModelRegistry};
 
 use crate::window::SealedSlot;
@@ -56,7 +59,10 @@ pub type ShardedFactory = Box<dyn Fn() -> ShardedModel<GcwcModel> + Send>;
 pub struct RefreshConfig {
     /// Warm-start fine-tune plan (epochs + learning-rate scale).
     pub plan: FineTunePlan,
-    /// Training-state checkpoint cadence during the fine-tune pass.
+    /// Training-state checkpoint cadence for
+    /// `ShardedModel::fine_tune_shards_resumable`. [`RefreshDriver`]
+    /// does not read it, since it fine-tunes in memory; it stays for
+    /// perfbench's live-city replay (see ROADMAP).
     pub every_epochs: usize,
     /// Newest sealed slots held out for validation (never trained on).
     pub holdout: usize,
@@ -211,14 +217,7 @@ impl RefreshDriver {
 
         let fresh_samples: Vec<TrainSample> =
             fresh.iter().enumerate().map(|(i, s)| s.to_sample(i)).collect();
-        candidate.fine_tune_shards_resumable(
-            &fresh_samples,
-            &self.cfg.dir,
-            &format!("{}.finetune", self.cfg.stem),
-            self.cfg.every_epochs.max(1),
-            false,
-            &self.cfg.plan,
-        )?;
+        candidate.fine_tune_shards(&fresh_samples, &self.cfg.plan)?;
         let cand_loss = holdout_loss(&candidate, &holdout_samples);
 
         // Consumed either way: a rolled-back batch is quarantined, not
@@ -247,9 +246,8 @@ impl RefreshDriver {
         let registry_generation = self.install(candidate);
         if old > 0 {
             for k in 0..num_shards {
-                let _ = fs::remove_file(
-                    self.cfg.dir.join(format!("{}.shard{k}.ckpt", self.stem_for(old))),
-                );
+                let _ =
+                    fs::remove_file(shard_checkpoint_path(&self.cfg.dir, &self.stem_for(old), k));
             }
         }
         if let Some(stats) = &self.stats {
@@ -274,40 +272,33 @@ impl RefreshDriver {
     }
 
     fn commit_manifest(&self, generation: u64) -> Result<(), IngestError> {
-        let path = self.cfg.dir.join(format!("{}.manifest", self.cfg.stem));
-        let tmp = path.with_extension("manifest.tmp");
-        fs::write(&tmp, format!("{MANIFEST_MAGIC}\ngeneration {generation}\n"))?;
-        fs::rename(&tmp, &path)?;
+        let text = format!("{MANIFEST_MAGIC}\ngeneration {generation}\n");
+        persist::write_atomic(&manifest_path(&self.cfg), &text)?;
         Ok(())
     }
 }
 
+fn manifest_path(cfg: &RefreshConfig) -> PathBuf {
+    cfg.dir.join(format!("{}.manifest", cfg.stem))
+}
+
 fn read_manifest(cfg: &RefreshConfig) -> Result<Option<u64>, IngestError> {
-    let path = cfg.dir.join(format!("{}.manifest", cfg.stem));
+    let path = manifest_path(cfg);
     // A crashed commit leaves at most a `.tmp` sibling; the committed
     // manifest (if any) is intact. Discard the leftover.
-    let _ = fs::remove_file(path.with_extension("manifest.tmp"));
+    let _ = fs::remove_file(persist::tmp_path(&path));
     if !path.exists() {
         return Ok(None);
     }
-    let corrupt =
-        |reason: &str| IngestError::Corrupt { path: path.clone(), reason: reason.to_owned() };
-    let text = fs::read_to_string(&path)?;
-    let mut lines = text.lines();
-    if lines.next() != Some(MANIFEST_MAGIC) {
-        return Err(corrupt("bad magic line"));
-    }
     // A commit writes generation 1 or later, and nothing after it.
-    let generation: u64 = lines
-        .next()
-        .and_then(|l| l.strip_prefix("generation "))
-        .and_then(|g| g.parse().ok())
-        .filter(|&g| g > 0)
-        .ok_or_else(|| corrupt("bad generation line"))?;
-    if lines.any(|l| !l.trim().is_empty()) {
-        return Err(corrupt("data after the generation line"));
-    }
-    Ok(Some(generation))
+    crate::read_file(&path, |r| {
+        r.expect(MANIFEST_MAGIC)?;
+        r.expect("generation")?;
+        match r.number("the committed generation")? {
+            0 => Err(PersistError::Format("generation 0 is never committed".into())),
+            generation => Ok(Some(generation)),
+        }
+    })
 }
 
 /// Mean masked KL divergence of the model's completions against the

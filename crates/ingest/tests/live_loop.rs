@@ -11,7 +11,7 @@ use gcwc_ingest::{
 use gcwc_serve::{AnyModel, Engine, EngineConfig, IngestStats, ModelRegistry};
 use gcwc_traffic::{generators, HistogramSpec};
 use rand::{Rng, SeedableRng};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 const M: usize = 4;
@@ -58,6 +58,22 @@ fn stream_slots(pipe: &mut Pipeline, num_edges: usize, slots: std::ops::Range<u6
         });
         pipe.seal_ready().unwrap();
     }
+}
+
+/// No write without a reader: a refresh directory holds the manifest
+/// and the committed generation's `shards` checkpoints, and nothing
+/// else — no training state, no `.tmp` leftover, no older generation.
+fn assert_holds_only_committed(dir: &Path, generation: u64, shards: usize) {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    let mut expected: Vec<String> =
+        (0..shards).map(|k| format!("live.g{generation}.shard{k}.ckpt")).collect();
+    expected.push("live.manifest".to_owned());
+    expected.sort();
+    assert_eq!(names, expected, "files left in {}", dir.display());
 }
 
 fn complete_bits(engine: &Engine, input: &gcwc_linalg::Matrix) -> (Vec<u64>, u64, bool) {
@@ -121,6 +137,7 @@ fn live_loop_streams_refreshes_and_serves_bit_identically() {
         }
         other => panic!("bootstrap refresh not applied: {other:?}"),
     };
+    assert_holds_only_committed(&dir.join("ckpt"), 1, 1);
 
     // Stash generation 1's checkpoint before the next refresh
     // garbage-collects it; the offline replication warm-starts from it
@@ -154,6 +171,7 @@ fn live_loop_streams_refreshes_and_serves_bit_identically() {
         other => panic!("incremental refresh not applied: {other:?}"),
     };
     assert!(gen_b > gen_a);
+    assert_holds_only_committed(&dir.join("ckpt"), 2, 1);
 
     // Old-generation cache entries are never served: the primed
     // request misses (recomputed on the new set) and carries the new

@@ -45,8 +45,6 @@ pub struct EngineConfig {
     pub workers: usize,
     /// Completion-cache capacity (`0` disables caching).
     pub cache_capacity: usize,
-    /// Deadline applied to requests that do not carry their own.
-    pub default_deadline: Option<Duration>,
     /// Per-shard circuit-breaker tuning (threshold + cooldown).
     pub breaker: BreakerConfig,
     /// When serving as one tenant of a multi-tenant process, the
@@ -64,7 +62,6 @@ impl Default for EngineConfig {
             queue_capacity: 64,
             workers: 1,
             cache_capacity: 256,
-            default_deadline: None,
             breaker: BreakerConfig::default(),
             tenant_site: None,
         }
@@ -848,7 +845,7 @@ impl Engine {
             out_buf,
             time_of_day,
             day_of_week,
-            deadline: self.inner.cfg.default_deadline.map(|d| Instant::now() + d),
+            deadline: None,
             degraded: false,
             responder: Responder::Reactor(reply),
             answered: false,
@@ -1017,8 +1014,6 @@ impl Client {
         day_of_week: usize,
         deadline: Option<Instant>,
     ) -> Job {
-        let deadline =
-            deadline.or_else(|| self.inner.cfg.default_deadline.map(|d| Instant::now() + d));
         Job {
             input,
             out_buf: self.out_buffer(),
