@@ -10,9 +10,9 @@
 //! static ALLOC: gcwc_bench::allocs::CountingAlloc = gcwc_bench::allocs::CountingAlloc;
 //! ```
 //!
-//! The allocation gates (`alloc_regression`, `serve_alloc`,
-//! `wire_alloc`, `ingest_alloc`) and the `exp_runner` binary install
-//! it, so `scaling` and `tenant-bench` report allocation counts in
+//! The allocation gates (`alloc_regression`, `fork_join_alloc`,
+//! `serve_alloc`, `serve_miss_alloc`, `wire_alloc`, `ingest_alloc`) and
+//! the `exp_runner` binary install it, so `scaling` and `tenant-bench` report allocation counts in
 //! every build.
 //!
 //! Two views of the same events: the process-wide total

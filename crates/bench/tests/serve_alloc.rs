@@ -5,15 +5,12 @@
 //! → recv → recycle). After warm-up — which fills the worker's
 //! inference workspace, the client's spare buffers, and the cache —
 //! every request must perform **zero** heap allocations, both on the
-//! cache-hit path and on the pure-inference path (cache disabled), and
-//! a forward large enough to split across kernel threads must still
-//! run on the draining thread.
-
-mod common;
+//! cache-hit path and on the pure-inference path (cache disabled).
+//! `serve_miss_alloc` pins sharded misses, whose forwards can run on
+//! pool threads.
 
 use gcwc::{build_samples, AGcwcModel, CompletionModel, ModelConfig, TaskKind, TrainSample};
 use gcwc_bench::allocs::{count_allocs, CountingAlloc};
-use gcwc_linalg::parallel::with_threads;
 use gcwc_serve::{AnyModel, Client, Engine, EngineConfig, ModelRegistry};
 use gcwc_traffic::{generators, simulate, HistogramSpec, SimConfig};
 use std::sync::Arc;
@@ -104,38 +101,6 @@ fn steady_state_inference_requests_perform_zero_allocations() {
     // cache_capacity 0 disables the cache entirely: every request runs
     // the tape-free batched forward pass.
     assert_steady_state_is_alloc_free(0, "pure-inference");
-}
-
-#[test]
-fn ci_city_misses_spawn_no_kernel_threads() {
-    // Two kernel threads on the draining thread: without the serving
-    // forward pinning itself to one, each shard's FC decoder product
-    // would split across a scoped thread spawn, which allocates here.
-    let engine = common::ci_city_engine(EngineConfig {
-        workers: 0,
-        cache_capacity: 0,
-        ..Default::default()
-    });
-    let mut client = engine.client();
-    with_threads(2, || {
-        for (step, (input, tod, dow)) in common::ci_requests(6).iter().enumerate() {
-            let (_, allocs) = count_allocs(|| {
-                let mut buf = client.input_buffer();
-                buf.copy_from(input);
-                client.send(buf, *tod, *dow).expect("send");
-                engine.process_queued();
-                let completion = client.recv().expect("recv");
-                assert!(!completion.cache_hit, "cache disabled: every request misses");
-                client.recycle(completion);
-            });
-            // Two warm-up requests fill the workspace and the client's
-            // spare buffers.
-            if step >= 2 {
-                assert_eq!(allocs, 0, "warm miss {step} performed {allocs} heap allocations");
-            }
-        }
-    });
-    engine.shutdown();
 }
 
 #[test]

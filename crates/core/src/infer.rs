@@ -32,7 +32,8 @@ pub struct InferRequest<'a> {
 
 /// Reusable scratch for the tape-free forward pass.
 ///
-/// Create one per serving thread and pass it to every call; after the
+/// Create one per forward that may run at the same time as another
+/// (the serving engine keeps one per shard) and pass it to every call; after the
 /// first few passes of a given shape the internal pool is warm and
 /// inference allocates nothing.
 #[derive(Default)]

@@ -4,8 +4,9 @@
 //! the batch barrier — so the loop splits each batch into
 //! `current_threads().min(batch length)` contiguous parts and runs them
 //! through [`parallel::fork_join`]: the first part on the calling
-//! thread, each other part on a scoped thread of its own, and with two
-//! or more parts every part's kernels on one thread. The worker count
+//! thread, the others on idle threads of the pool behind it (or on the
+//! calling thread when none is idle), and with two or more parts every
+//! part's kernels on one thread. The worker count
 //! comes from the thread-count chain of [`gcwc_linalg::parallel`]
 //! (`with_threads`, then `set_global_threads` / `GCWC_THREADS`, then
 //! available parallelism). Determinism is preserved bit-for-bit for
@@ -224,7 +225,7 @@ pub fn run_training(
     // Workspaces reused across batches and epochs: one tape per part,
     // one gradient buffer per sample, seed and loss scratch. After the
     // first few batches the loop body reaches a steady state that
-    // performs no heap allocation beyond the parts' thread spawns.
+    // performs no heap allocation.
     let mut tapes: Vec<Tape> = Vec::new();
     let mut buffers: Vec<GradBuffer> = Vec::new();
     let mut seeds: Vec<u64> = Vec::new();
@@ -357,8 +358,17 @@ mod tests {
         }
     }
 
+    /// Held by every test that trains through `run_training` while the
+    /// `failpoints` feature is on: the `guard` tests arm the
+    /// process-global `train.step` site, which would fail any training
+    /// running beside them.
+    #[cfg(feature = "failpoints")]
+    static FAILPOINT_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn training_reduces_loss_on_regression_toy() {
+        #[cfg(feature = "failpoints")]
+        let _guard = FAILPOINT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         // Learn w so that w ≈ mean of labels via MSE.
         let mut store = ParamStore::new();
         let w = store.add("w", Matrix::zeros(1, 1));
@@ -409,14 +419,12 @@ mod tests {
     /// `train.step` failpoint (non-finite values cannot flow through
     /// the tape in debug builds — its ops assert finiteness — which is
     /// exactly why the release-mode guard exists). The failpoint
-    /// registry is process-global, so these tests serialise on a mutex
-    /// and always disarm their sites before releasing it.
+    /// registry is process-global, so these tests serialise on
+    /// `FAILPOINT_LOCK` and always disarm their sites before releasing
+    /// it.
     #[cfg(feature = "failpoints")]
     mod guard {
         use super::*;
-        use std::sync::Mutex;
-
-        static FAILPOINT_LOCK: Mutex<()> = Mutex::new(());
 
         fn toy_run(control: &TrainControl) -> Result<(TrainReport, f64), TrainError> {
             let mut store = ParamStore::new();

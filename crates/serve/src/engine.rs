@@ -7,22 +7,27 @@
 //! shard (keys embed the shard's own generation, so hot-swapping one
 //! shard invalidates exactly its entries), one coalesced forward pass
 //! per shard over the misses, then each shard's owned rows are
-//! scattered back into the caller's global output buffer. With a
-//! single shard (K = 1) the view is the identity and the path reduces
-//! to the pre-sharding pipeline bit for bit.
+//! scattered back into the caller's global output buffer. A batch's
+//! shard forwards run at once: the worker runs the first and idle
+//! threads of the pool behind `gcwc_linalg::parallel::fork_join` take
+//! the others, each forward at one kernel thread. Lookups, fills and
+//! scatters stay on the worker, in shard order. With a single shard
+//! (K = 1) the view is the identity, the forward runs on the worker,
+//! and the path reduces to the pre-sharding pipeline bit for bit.
 //!
 //! Buffer discipline: a [`Client`] owns its input/output matrices and
 //! round-trips them through the [`Job`] → [`Completion`] cycle, the
-//! worker owns an [`InferWorkspace`] plus persistent batch scratch
-//! (including per-shard localisation buffers), and the caches reuse
-//! evicted buffers — so the K = 1 in-process request path performs
-//! **zero heap allocations** once warm (asserted by `gcwc-bench`'s
-//! `serve_alloc` test, which installs a counting allocator).
+//! worker owns persistent batch scratch and, per shard, an
+//! [`InferWorkspace`] with localisation and output buffers, and the
+//! caches reuse evicted buffers — so a warm in-process request
+//! performs **zero heap allocations** on any thread (asserted by
+//! `gcwc-bench`'s `serve_alloc` and `serve_miss_alloc` tests, which
+//! install a counting allocator).
 
 use crate::cache::{input_signature, CacheKey, CompletionCache};
 use crate::health::{Admission, BreakerConfig, ShardHealth};
 use crate::queue::{BoundedQueue, PushError};
-use crate::registry::ModelRegistry;
+use crate::registry::{ModelRegistry, ModelSnapshot};
 use crate::server::Reply;
 use crate::{derive_row_flags, failsite, ServeError};
 use gcwc::{InferRequest, InferWorkspace, OutputKind};
@@ -409,36 +414,46 @@ impl StatsSnapshot {
 
 /// Per-worker (or inline-drain) scratch, reused across batches.
 struct WorkerState {
-    ws: InferWorkspace,
     batch: Vec<Option<Job>>,
     /// Global input signature per live batch slot.
     sigs: Vec<u64>,
     /// Per batch slot: true until some shard misses the cache.
     all_hit: Vec<bool>,
-    /// Per-shard scratch: batch indices of the current shard's misses.
-    miss_idx: Vec<usize>,
-    /// Per-shard scratch: cache keys of the current shard's misses.
-    keys: Vec<CacheKey>,
-    flags: Vec<Vec<f64>>,
-    /// Localised (owned + halo rows) inputs for non-identity shards.
-    local_ins: Vec<Matrix>,
-    outs: Vec<Matrix>,
+    /// One entry per shard of the served shard set.
+    shards: Vec<ShardScratch>,
 }
 
 impl WorkerState {
     fn new(max_batch: usize) -> Self {
         Self {
-            ws: InferWorkspace::new(),
             batch: Vec::with_capacity(max_batch),
             sigs: Vec::with_capacity(max_batch),
             all_hit: Vec::with_capacity(max_batch),
-            miss_idx: Vec::with_capacity(max_batch),
-            keys: Vec::with_capacity(max_batch),
-            flags: std::iter::repeat_with(Vec::new).take(max_batch).collect(),
-            local_ins: Vec::new(),
-            outs: Vec::new(),
+            shards: Vec::new(),
         }
     }
+}
+
+/// One shard's scratch, reused across batches. The lookup pass fills
+/// the miss lists, the shard's forward (which may run on a pool thread,
+/// at the same time as other shards') its inputs, flags and outputs,
+/// and the fill pass reads them back.
+#[derive(Default)]
+struct ShardScratch {
+    /// The shard's own inference workspace.
+    ws: InferWorkspace,
+    /// Batch indices of the shard's misses.
+    miss_idx: Vec<usize>,
+    /// Cache keys of the shard's misses.
+    keys: Vec<CacheKey>,
+    flags: Vec<Vec<f64>>,
+    /// Localised (owned + halo rows) inputs for non-identity shards.
+    local_ins: Vec<Matrix>,
+    outs: Vec<Matrix>,
+    /// The breaker admitted a forward over this batch's misses.
+    admitted: bool,
+    /// The admitted forward ran and returned.
+    ok: bool,
 }
 
 struct EngineInner {
@@ -459,19 +474,19 @@ struct EngineInner {
 }
 
 impl EngineInner {
-    /// Serves one batch: per-request validation, then per shard —
-    /// cache lookups, one coalesced forward pass over that shard's
-    /// misses, cache fills, owned-row scatter — and finally one
+    /// Serves one batch: per-request validation; per shard, cache
+    /// lookups and the breaker gate; one coalesced forward pass per
+    /// shard with admitted misses, the shards' forwards at once; per
+    /// shard, cache fills and owned-row scatter; and finally one
     /// response per request once every shard has contributed its rows.
     fn serve_batch(&self, state: &mut WorkerState) {
         let snapshot = self.registry.snapshot();
         let num_shards = snapshot.num_shards();
         let (n, m) = (snapshot.num_edges(), snapshot.num_buckets());
-        let out_cols = snapshot.output_cols();
-        let WorkerState { ws, batch, sigs, all_hit, miss_idx, keys, flags, local_ins, outs } =
-            state;
+        let WorkerState { batch, sigs, all_hit, shards } = state;
         sigs.clear();
         all_hit.clear();
+        shards.resize_with(num_shards, ShardScratch::default);
 
         // Phase 1: validation, deadlines, global input signatures.
         let now = Instant::now();
@@ -501,19 +516,22 @@ impl EngineInner {
             all_hit.push(true);
         }
 
-        // Phase 2: route through every shard — lookups, one coalesced
-        // forward pass per shard with misses (gated by the shard's
-        // circuit breaker and contained by `catch_unwind`), cache
-        // fills, owned-row scatter. A shard that cannot compute —
-        // open breaker, injected error, or panic — is *degraded*
-        // instead of fatal: its misses' owned rows are filled with
-        // the row-prior P(Z) and the response is flagged, while every
-        // other shard's rows stay bit-identical.
-        for s in 0..num_shards {
+        // Phase 2: route through every shard. A shard that cannot
+        // compute — open breaker, injected error, or panic — is
+        // *degraded* instead of fatal: its misses' owned rows are filled
+        // with the row-prior P(Z) and the response is flagged, while
+        // every other shard's rows stay bit-identical.
+        //
+        // 2a, in shard order: cache lookups, cached rows scattered, and
+        // the breaker gate. While shard `s` cools down after repeated
+        // failures its misses are degraded without attempting the
+        // forward pass; cached rows were still served exactly.
+        for (s, scratch) in shards.iter_mut().enumerate() {
             let shard = snapshot.shard(s);
             let view = snapshot.view(s);
-            miss_idx.clear();
-            keys.clear();
+            scratch.miss_idx.clear();
+            scratch.keys.clear();
+            scratch.admitted = false;
             {
                 let mut cache = self.caches[s].lock().unwrap_or_else(PoisonError::into_inner);
                 for i in 0..batch.len() {
@@ -528,110 +546,54 @@ impl EngineInner {
                         // Cached value is the shard's owned row block.
                         view.scatter_owned(cached, &mut job.out_buf);
                     } else {
-                        keys.push(key);
-                        miss_idx.push(i);
+                        scratch.keys.push(key);
+                        scratch.miss_idx.push(i);
                         all_hit[i] = false;
                     }
                 }
             }
-            if miss_idx.is_empty() {
+            if scratch.miss_idx.is_empty() {
                 continue;
             }
-
-            // Breaker gate: while shard `s` cools down after repeated
-            // failures its misses are degraded without attempting the
-            // forward pass. Cached rows above were still served
-            // exactly — only uncomputable rows carry the prior.
             if self.health[s].admit(Instant::now()) == Admission::Deny {
-                degrade_misses(batch, miss_idx, view, shard);
+                degrade_misses(batch, &scratch.miss_idx, view, shard);
                 continue;
             }
+            scratch.admitted = true;
+        }
 
-            let count = miss_idx.len();
-            let local_n = view.num_local();
-            let identity = view.is_identity();
-            if !identity {
-                for slot in local_ins.iter_mut() {
-                    if slot.shape() != (local_n, m) {
-                        let stale = std::mem::replace(slot, ws.take(local_n, m));
-                        ws.give(stale);
-                    }
-                }
-                while local_ins.len() < count {
-                    let fresh = ws.take(local_n, m);
-                    local_ins.push(fresh);
-                }
+        // 2b: one forward per admitted shard, the shards split over the
+        // worker and the idle pool threads (`fork_join`); K = 1 runs on
+        // the worker. Each forward only reads the batch and writes its
+        // own scratch, so the shards' rows do not depend on where or in
+        // which order they ran.
+        let jobs: &[Option<Job>] = batch;
+        gcwc_linalg::parallel::fork_join(
+            shards.iter_mut().enumerate().filter(|(_, scratch)| scratch.admitted),
+            |(s, scratch)| scratch.ok = self.forward(&snapshot, s, jobs, scratch),
+        );
+
+        // 2c, in shard order: outcomes, cache fills, owned-row scatter.
+        for (s, scratch) in shards.iter_mut().enumerate() {
+            if !scratch.admitted {
+                continue;
             }
-            for (r, &i) in miss_idx.iter().enumerate() {
-                let job = batch[i].as_ref().expect("miss slots are live");
-                if identity {
-                    derive_row_flags(&job.input, &mut flags[r]);
-                } else {
-                    view.select_into(&job.input, &mut local_ins[r]);
-                    derive_row_flags(&local_ins[r], &mut flags[r]);
-                }
-            }
-            for slot in outs.iter_mut() {
-                if slot.shape() != (local_n, out_cols) {
-                    let stale = std::mem::replace(slot, ws.take(local_n, out_cols));
-                    ws.give(stale);
-                }
-            }
-            while outs.len() < count {
-                let fresh = ws.take(local_n, out_cols);
-                outs.push(fresh);
-            }
-            // The forward pass runs contained: a panic inside it (a
-            // poisoned kernel, an armed `panic` failpoint) or an
-            // injected `err` marks this shard's attempt failed instead
-            // of unwinding the worker. The workspace only holds pooled
-            // scratch, so abandoning it mid-pass is safe (worst case a
-            // few pooled buffers leak back to the allocator).
-            let forward_ok = {
-                let batch_ref: &Vec<Option<Job>> = batch;
-                let miss_ref: &Vec<usize> = miss_idx;
-                let flags_ref: &Vec<Vec<f64>> = flags;
-                let local_ref: &Vec<Matrix> = local_ins;
-                let outs_ref: &mut [Matrix] = &mut outs[..count];
-                catch_unwind(AssertUnwindSafe(|| {
-                    if gcwc_failpoint::triggered(&self.forward_sites[s]) {
-                        return false; // injected forward failure
-                    }
-                    shard.model.infer_into(
-                        ws,
-                        count,
-                        |r| {
-                            let job = batch_ref[miss_ref[r]].as_ref().expect("miss slots are live");
-                            InferRequest {
-                                input: if identity { &job.input } else { &local_ref[r] },
-                                time_of_day: job.time_of_day,
-                                day_of_week: job.day_of_week,
-                                row_flags: &flags_ref[r],
-                            }
-                        },
-                        outs_ref,
-                    );
-                    true
-                }))
-                .unwrap_or(false)
-            };
-            if !forward_ok {
+            let shard = snapshot.shard(s);
+            let view = snapshot.view(s);
+            if !scratch.ok {
                 if self.health[s].record_failure(Instant::now()) {
                     self.counters.breaker_open.fetch_add(1, Ordering::Relaxed);
                 }
-                degrade_misses(batch, miss_idx, view, shard);
+                degrade_misses(batch, &scratch.miss_idx, view, shard);
                 continue;
             }
             self.health[s].record_success();
             self.counters.batches.fetch_add(1, Ordering::Relaxed);
-
-            {
-                let mut cache = self.caches[s].lock().unwrap_or_else(PoisonError::into_inner);
-                for (r, &i) in miss_idx.iter().enumerate() {
-                    let job = batch[i].as_mut().expect("miss slots are live");
-                    cache.insert_rows(keys[r], &outs[r], view.num_owned());
-                    view.scatter_owned(&outs[r], &mut job.out_buf);
-                }
+            let mut cache = self.caches[s].lock().unwrap_or_else(PoisonError::into_inner);
+            for (r, &i) in scratch.miss_idx.iter().enumerate() {
+                let job = batch[i].as_mut().expect("miss slots are live");
+                cache.insert_rows(scratch.keys[r], &scratch.outs[r], view.num_owned());
+                view.scatter_owned(&scratch.outs[r], &mut job.out_buf);
             }
         }
 
@@ -653,6 +615,86 @@ impl EngineInner {
             job.respond(Ok(completion));
         }
         batch.clear();
+    }
+
+    /// Shard `s`'s coalesced forward pass over the misses in `scratch`:
+    /// localises each miss's input, derives its row flags and runs the
+    /// pass into `scratch.outs`. Returns false when the pass failed.
+    ///
+    /// The pass runs contained: a panic inside it (a poisoned kernel, an
+    /// armed `panic` failpoint) or an injected `err` marks this shard's
+    /// attempt failed instead of unwinding the worker. The workspace
+    /// only holds pooled scratch, so abandoning it mid-pass is safe
+    /// (worst case a few pooled buffers leak back to the allocator).
+    fn forward(
+        &self,
+        snapshot: &ModelSnapshot,
+        s: usize,
+        jobs: &[Option<Job>],
+        scratch: &mut ShardScratch,
+    ) -> bool {
+        let shard = snapshot.shard(s);
+        let view = snapshot.view(s);
+        let (m, out_cols) = (snapshot.num_buckets(), snapshot.output_cols());
+        let ShardScratch { ws, miss_idx, flags, local_ins, outs, .. } = scratch;
+        let count = miss_idx.len();
+        let local_n = view.num_local();
+        let identity = view.is_identity();
+        if !identity {
+            for slot in local_ins.iter_mut() {
+                if slot.shape() != (local_n, m) {
+                    let stale = std::mem::replace(slot, ws.take(local_n, m));
+                    ws.give(stale);
+                }
+            }
+            while local_ins.len() < count {
+                let fresh = ws.take(local_n, m);
+                local_ins.push(fresh);
+            }
+        }
+        flags.resize_with(flags.len().max(count), Vec::new);
+        for (r, &i) in miss_idx.iter().enumerate() {
+            let job = jobs[i].as_ref().expect("miss slots are live");
+            if identity {
+                derive_row_flags(&job.input, &mut flags[r]);
+            } else {
+                view.select_into(&job.input, &mut local_ins[r]);
+                derive_row_flags(&local_ins[r], &mut flags[r]);
+            }
+        }
+        for slot in outs.iter_mut() {
+            if slot.shape() != (local_n, out_cols) {
+                let stale = std::mem::replace(slot, ws.take(local_n, out_cols));
+                ws.give(stale);
+            }
+        }
+        while outs.len() < count {
+            let fresh = ws.take(local_n, out_cols);
+            outs.push(fresh);
+        }
+        let (miss_idx, flags, local_ins): (&[usize], &[Vec<f64>], &[Matrix]) =
+            (miss_idx, flags, local_ins);
+        catch_unwind(AssertUnwindSafe(|| {
+            if gcwc_failpoint::triggered(&self.forward_sites[s]) {
+                return false; // injected forward failure
+            }
+            shard.model.infer_into(
+                ws,
+                count,
+                |r| {
+                    let job = jobs[miss_idx[r]].as_ref().expect("miss slots are live");
+                    InferRequest {
+                        input: if identity { &job.input } else { &local_ins[r] },
+                        time_of_day: job.time_of_day,
+                        day_of_week: job.day_of_week,
+                        row_flags: &flags[r],
+                    }
+                },
+                &mut outs[..count],
+            );
+            true
+        }))
+        .unwrap_or(false)
     }
 
     /// Coalesces `first` with up to `max_batch - 1` opportunistically

@@ -93,12 +93,11 @@ impl AnyModel {
     /// request to single-request evaluation.
     ///
     /// The kernels run on the calling thread, whatever its ambient
-    /// kernel thread count: at serving sizes (each shard's FC decoder
-    /// product is 1.6–1.9 × 10⁵ multiply-adds per request on the CI
-    /// city at K = 2) a scoped kernel-thread spawn and join costs more
-    /// than the split saves (see `gcwc_linalg::parallel::MIN_PARALLEL_WORK`),
-    /// and every spawn allocates. Concurrency comes from the engine's
-    /// workers instead. The bits are the same at every thread count.
+    /// kernel thread count: the engine already runs a batch's shard
+    /// forwards at once on the pool behind
+    /// `gcwc_linalg::parallel::fork_join`, so splitting a product inside
+    /// one forward would only compete for the same threads. The bits
+    /// are the same at every thread count.
     pub fn infer_into<'r, F>(
         &self,
         ws: &mut InferWorkspace,
