@@ -148,13 +148,16 @@ impl CnnModel {
         sample: &TrainSample,
         rng: &mut StdRng,
     ) -> NodeId {
-        let (input, _) = gcwc::task::corrupt_input(
+        let (input, flags) = gcwc::task::corrupt_input_pooled(
             &sample.input,
             &sample.context.row_flags,
             self.cfg.row_dropout,
             rng,
+            tape.pool_mut(),
         );
         let pred = self.output(tape, store, &input, true, rng);
+        tape.pool_mut().give(input);
+        tape.pool_mut().give_vec(flags);
         match self.cfg.output {
             OutputKind::Histogram => {
                 tape.kl_loss_masked(pred, sample.label.clone(), sample.label_mask.clone(), LOSS_EPS)

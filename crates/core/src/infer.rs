@@ -9,8 +9,9 @@
 //! The arithmetic is shared with the tape (see `gcwc_nn::ops`), and all
 //! batched kernels compute each request's column block independently,
 //! so the output of a coalesced batch is **bit-identical** to running
-//! each request through [`crate::GcwcModel::predict`] /
-//! [`crate::AGcwcModel::predict`] one at a time (asserted by
+//! each request through `predict` (the [`crate::CompletionModel`]
+//! method of [`crate::GcwcModel`] and [`crate::AGcwcModel`]) one at a
+//! time (asserted by
 //! `tests/infer_equivalence.rs`).
 
 use gcwc_linalg::{BufferPool, Matrix};

@@ -45,32 +45,8 @@ pub const MAX_SPEED: f64 = 40.0;
 
 /// Denoising augmentation: zeroes each covered input row with
 /// probability `p`, returning the corrupted matrix and the row flags of
-/// the *corrupted* input (what the model actually observes).
-pub fn corrupt_input(
-    input: &Matrix,
-    row_flags: &[f64],
-    p: f64,
-    rng: &mut rand::rngs::StdRng,
-) -> (Matrix, Vec<f64>) {
-    use rand::Rng;
-    let mut out = input.clone();
-    let mut flags = row_flags.to_vec();
-    if p <= 0.0 {
-        return (out, flags);
-    }
-    for e in 0..out.rows() {
-        if flags[e] > 0.0 && rng.random::<f64>() < p {
-            out.row_mut(e).fill(0.0);
-            flags[e] = 0.0;
-        }
-    }
-    (out, flags)
-}
-
-/// [`corrupt_input`] staged in pooled buffers: the corrupted matrix and
-/// flag vector come from `pool` (return them with `give`/`give_vec`
-/// when done). Consumes the RNG stream identically and produces
-/// bit-identical contents.
+/// the *corrupted* input (what the model actually observes). Both come
+/// from `pool`; return them with `give`/`give_vec` when done.
 pub fn corrupt_input_pooled(
     input: &Matrix,
     row_flags: &[f64],

@@ -96,11 +96,6 @@ impl Pipeline {
         std::mem::take(&mut self.ready)
     }
 
-    /// Sealed slots awaiting [`Pipeline::take_sealed`].
-    pub fn sealed_pending(&self) -> usize {
-        self.ready.len()
-    }
-
     /// Flushes the log's active buffer to disk (shutdown path).
     pub fn flush(&mut self) -> Result<(), IngestError> {
         self.log.flush()

@@ -69,11 +69,6 @@ impl IngestLane {
         Ok(outcome)
     }
 
-    /// Sealed slots waiting for a refresh to consume them.
-    pub fn backlog(&self) -> usize {
-        self.sealed.len()
-    }
-
     /// The lane's pipeline.
     pub fn pipeline(&self) -> &Pipeline {
         &self.pipeline

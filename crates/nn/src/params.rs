@@ -126,11 +126,13 @@ impl ParamStore {
 /// Destination for the parameter gradients produced by
 /// [`crate::tape::Tape::backward`].
 ///
-/// The training loop passes a [`ParamStore`] directly when running
-/// serially, or a private per-sample [`GradBuffer`] when running
-/// data-parallel so buffers can be merged in a fixed sample order
-/// afterwards (float addition is not associative, so merge order is
-/// part of the determinism contract).
+/// The training loop (`gcwc::train::run_training`) always passes a
+/// private per-sample [`GradBuffer`], at every thread count, and merges
+/// a batch's buffers in sample order afterwards (float addition is not
+/// associative, so merge order is part of the determinism contract).
+/// A [`ParamStore`] is a sink too, for callers that back-propagate
+/// straight into the parameters (`gradcheck::check_gradients` and the
+/// optimiser's tests).
 pub trait GradSink {
     /// Adds `delta` into the gradient slot of `id`.
     fn accumulate_grad(&mut self, id: ParamId, delta: &Matrix);

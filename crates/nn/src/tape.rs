@@ -107,10 +107,6 @@ pub(crate) enum Op {
         x: NodeId,
         eps: f64,
     },
-    PowScalar {
-        x: NodeId,
-        p: f64,
-    },
     SumAll(NodeId),
     Transpose(NodeId),
     Reshape {
@@ -450,12 +446,6 @@ impl Tape {
     pub fn log_eps(&mut self, x: NodeId, eps: f64) -> NodeId {
         let v = self.map_pooled(x, |t| (t + eps).ln());
         self.push(v, Op::LogEps { x, eps })
-    }
-
-    /// Elementwise power `x^p` (requires `x > 0` when `p` is fractional).
-    pub fn pow_scalar(&mut self, x: NodeId, p: f64) -> NodeId {
-        let v = self.map_pooled(x, |t| t.powf(p));
-        self.push(v, Op::PowScalar { x, p })
     }
 
     /// Row-wise softmax (numerically stabilised).
@@ -804,22 +794,11 @@ impl Tape {
         self.mse_masked(pred, l, m)
     }
 
-    /// [`Tape::mse_masked`] copying the label and mask into pooled
-    /// buffers instead of taking ownership.
-    pub fn mse_masked_ref(&mut self, pred: NodeId, label: &Matrix, mask: &Matrix) -> NodeId {
-        let mut l = self.pool.take_raw(label.rows(), label.cols());
-        l.copy_from(label);
-        let mut m = self.pool.take_raw(mask.rows(), mask.cols());
-        m.copy_from(mask);
-        self.mse_masked(pred, l, m)
-    }
-
     // ----- backward ---------------------------------------------------------
 
     /// Back-propagates from the scalar node `loss`, accumulating parameter
-    /// gradients into `sink` — a [`ParamStore`] in serial training, or a
-    /// private [`crate::params::GradBuffer`] per sample in data-parallel
-    /// training.
+    /// gradients into `sink`: a private [`crate::params::GradBuffer`] per
+    /// sample in training, or a [`ParamStore`] directly.
     ///
     /// # Panics
     /// Panics if `loss` is not `1 × 1`.
@@ -930,11 +909,6 @@ impl Tape {
                 Op::LogEps { x, eps } => {
                     let eps = *eps;
                     g.zip_assign(&nodes[x.0].value, |gv, t| gv / (t + eps));
-                    accumulate_owned(pool, &mut grads, *x, g);
-                }
-                Op::PowScalar { x, p } => {
-                    let p = *p;
-                    g.zip_assign(&nodes[x.0].value, |gv, t| gv * p * t.powf(p - 1.0));
                     accumulate_owned(pool, &mut grads, *x, g);
                 }
                 Op::SoftmaxRows(x) => {

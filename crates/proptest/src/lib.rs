@@ -191,7 +191,7 @@ pub mod collection {
     use super::{Strategy, TestCaseError, TestRng};
     use rand::Rng as _;
 
-    /// Length specification for [`vec`]: a fixed `usize` or a
+    /// Length specification for [`vec()`]: a fixed `usize` or a
     /// half-open `Range<usize>`.
     #[derive(Clone, Debug)]
     pub struct SizeRange {
@@ -218,7 +218,7 @@ pub mod collection {
         VecStrategy { element, size: size.into() }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

@@ -16,7 +16,7 @@
 //! and the path reduces to the pre-sharding pipeline bit for bit.
 //!
 //! Buffer discipline: a [`Client`] owns its input/output matrices and
-//! round-trips them through the [`Job`] → [`Completion`] cycle, the
+//! round-trips them through the job → [`Completion`] cycle, the
 //! worker owns persistent batch scratch and, per shard, an
 //! [`InferWorkspace`] with localisation and output buffers, and the
 //! caches reuse evicted buffers — so a warm in-process request
@@ -87,9 +87,12 @@ pub struct Completion {
     /// breaker or failed forward) and they were filled with the
     /// row-prior `P(Z)` instead. Healthy shards' rows are exact.
     pub degraded: bool,
-    /// Global generation of the shard-set snapshot that produced the
+    /// Model generation of the shard-set snapshot that produced the
     /// result.
     pub generation: u64,
+    /// Graph (topology) generation of that snapshot: the result's rows
+    /// are the edges of this generation's graph.
+    pub graph_generation: u64,
     /// Number of shards K the completion was gathered from.
     pub shards: usize,
 }
@@ -336,7 +339,7 @@ pub struct StatsSnapshot {
     pub cache_misses: u64,
     /// Completion-cache evictions (summed over per-shard caches).
     pub cache_evictions: u64,
-    /// Current global model generation.
+    /// Model generation of the served snapshot.
     pub generation: u64,
     /// Number of shards K in the served shard set.
     pub shards: u64,
@@ -364,9 +367,10 @@ pub struct StatsSnapshot {
     pub refreshes_rolled_back: u64,
     /// Slots sealed since the last applied refresh (staleness gauge).
     pub generation_age: u64,
-    /// The tenant's graph-topology generation: bumped on every applied
-    /// [`gcwc_graph::GraphDelta`], so clients detect topology swaps.
-    /// `0` for an engine read outside its tenant ([`Engine::stats`]).
+    /// Graph (topology) generation of the served snapshot: bumped on
+    /// every applied [`gcwc_graph::GraphDelta`]
+    /// ([`ModelRegistry::install_topology`]), so clients detect
+    /// topology swaps.
     pub graph_generation: u64,
     /// Requests rejected by the tenant's quota (token bucket empty or
     /// the `serve.tenant.quota` failpoint armed). `0` for an engine
@@ -482,16 +486,18 @@ impl EngineInner {
     fn serve_batch(&self, state: &mut WorkerState) {
         let snapshot = self.registry.snapshot();
         let num_shards = snapshot.num_shards();
-        let (n, m) = (snapshot.num_edges(), snapshot.num_buckets());
+        let (n, m, out_cols) =
+            (snapshot.num_edges(), snapshot.num_buckets(), snapshot.output_cols());
         let WorkerState { batch, sigs, all_hit, shards } = state;
         sigs.clear();
         all_hit.clear();
         shards.resize_with(num_shards, ShardScratch::default);
 
-        // Phase 1: validation, deadlines, global input signatures.
+        // Phase 1: validation, deadlines, output buffers of the
+        // snapshot's shape, global input signatures.
         let now = Instant::now();
         for i in 0..batch.len() {
-            let job = batch[i].as_ref().expect("fresh batch slot");
+            let job = batch[i].as_mut().expect("fresh batch slot");
             if job.input.shape() != (n, m) {
                 let got = job.input.shape();
                 let job = batch[i].take().expect("slot checked above");
@@ -511,6 +517,10 @@ impl EngineInner {
                 sigs.push(0);
                 all_hit.push(false);
                 continue;
+            }
+            if job.out_buf.shape() != (n, out_cols) {
+                // The caller's buffer predates a topology change.
+                job.out_buf = Matrix::zeros(n, out_cols);
             }
             sigs.push(input_signature(&job.input));
             all_hit.push(true);
@@ -609,6 +619,7 @@ impl EngineInner {
                 cache_hit: all_hit[i],
                 degraded: job.degraded,
                 generation: snapshot.generation,
+                graph_generation: snapshot.graph_generation,
                 shards: num_shards,
             };
             self.counters.completed.fetch_add(1, Ordering::Relaxed);
@@ -947,6 +958,7 @@ impl Engine {
             cache_evictions += e;
         }
         let ingest = self.inner.ingest.get().map(|i| i.snapshot()).unwrap_or_default();
+        let snapshot = self.inner.registry.snapshot();
         StatsSnapshot {
             requests: c.requests.load(Ordering::Relaxed),
             completed: c.completed.load(Ordering::Relaxed),
@@ -956,7 +968,7 @@ impl Engine {
             cache_hits,
             cache_misses,
             cache_evictions,
-            generation: self.inner.registry.generation(),
+            generation: snapshot.generation,
             shards: self.inner.caches.len() as u64,
             worker_restarts: c.worker_restarts.load(Ordering::Relaxed),
             breaker_open: c.breaker_open.load(Ordering::Relaxed),
@@ -968,8 +980,8 @@ impl Engine {
             refreshes_applied: ingest[3],
             refreshes_rolled_back: ingest[4],
             generation_age: ingest[5],
-            // The tenant layer owns these two; Tenant::stats overwrites.
-            graph_generation: 0,
+            graph_generation: snapshot.graph_generation,
+            // The tenant layer owns this one; Tenant::stats fills it.
             quota_rejected: 0,
         }
     }
@@ -1042,11 +1054,12 @@ impl Client {
         }
     }
 
+    /// A recycled output buffer of any shape (the engine replaces one
+    /// whose shape a topology change made stale), or a fresh one.
     fn out_buffer(&mut self) -> Matrix {
-        match self.spare_outputs.pop() {
-            Some(m) if m.shape() == self.out_shape => m,
-            _ => Matrix::zeros(self.out_shape.0, self.out_shape.1),
-        }
+        self.spare_outputs
+            .pop()
+            .unwrap_or_else(|| Matrix::zeros(self.out_shape.0, self.out_shape.1))
     }
 
     fn make_job(

@@ -19,13 +19,14 @@ pub struct OkResponse {
     pub shards: usize,
 }
 
-/// A completion answer: the tenant that served it, the tenant's graph
-/// generation, and the completion itself.
+/// A completion answer: the tenant that served it, the graph generation
+/// it was computed under, and the completion itself.
 #[derive(Debug)]
 pub struct TokResponse {
     /// The tenant that served the completion.
     pub tenant: u64,
-    /// The tenant's graph-topology generation at serve time; a bump
+    /// The graph (topology) generation of the snapshot that computed
+    /// the completion, whose rows are that generation's edges; a bump
     /// between two responses means a [`gcwc_graph::GraphDelta`] was
     /// applied in between and row indices may have shifted.
     pub graph_generation: u64,

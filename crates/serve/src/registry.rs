@@ -1,32 +1,45 @@
 //! Model registry: loads and validates checkpoints into warm models
-//! and atomically hot-swaps the served snapshot.
+//! and publishes the served shard set as one immutable snapshot.
 //!
 //! The served unit is a **shard set**: one model per edge partition
 //! (see `gcwc_graph::PartitionSet`), each with the [`RowView`] mapping
-//! its local rows back to the global graph. A single-shard registry
+//! its local rows back to the global graph and the factory that builds
+//! an untrained model of its architecture. A single-shard registry
 //! (the common K = 1 case, built by [`ModelRegistry::new`]) carries
-//! one model under an identity view and behaves exactly like the
-//! pre-sharding registry.
+//! one model under an identity view.
 //!
-//! A `factory` closure per shard builds an untrained model of that
-//! shard's architecture (it captures the local graph and config);
-//! [`ModelRegistry::load_shard`] runs the factory, restores the
-//! checkpoint — the versioned header is validated against the model's
-//! architecture token, so a wrong-architecture or corrupt file is
-//! rejected *before* it is exposed — and then swaps a new
-//! [`ModelSnapshot`] in behind an [`RwLock`]. Unchanged shards are
-//! shared by `Arc` between generations, so swapping shard `k` leaves
-//! every other shard's identity (and its cache entries, which are
-//! keyed by per-shard generation) intact. In-flight batches keep
-//! serving the old snapshot via their [`Arc`] until they finish.
+//! A [`ModelSnapshot`] is the unit of consistency: it holds every
+//! shard's model, view and factory, the model generation and the graph
+//! (topology) generation. The registry keeps the current snapshot
+//! behind one [`RwLock`], and every change goes through one private
+//! `publish`: a checkpoint load ([`ModelRegistry::load_shard`]), an
+//! in-process install ([`ModelRegistry::install_shard`]), a refresh's
+//! whole set ([`ModelRegistry::install_set`]) and a topology change
+//! ([`ModelRegistry::install_topology`]). Under the write lock,
+//! `publish` derives the next snapshot from the current one, checks
+//! every model against the view it will serve under and swaps the
+//! snapshot in whole, so a reader never sees a model beside a view it
+//! does not fit, nor a graph generation beside a topology it does not
+//! name. Unchanged shards are shared by `Arc` between generations, so
+//! swapping shard `k` leaves every other shard's identity (and its
+//! cache entries, which are keyed by per-shard generation) intact.
+//! In-flight batches keep serving the old snapshot via their [`Arc`]
+//! until they finish.
+//!
+//! A checkpoint load restores the file into a fresh model from the
+//! current snapshot's factory, outside the lock. The versioned header
+//! is validated against the model's architecture token, so a
+//! wrong-architecture or corrupt file is rejected before it is exposed,
+//! and a load that a topology change overtook is refused when it
+//! publishes.
 
 use crate::ServeError;
 use gcwc::{AGcwcModel, GcwcModel, InferRequest, InferWorkspace, OutputKind};
 use gcwc_graph::{PartitionSet, RowView};
 use gcwc_linalg::Matrix;
+use gcwc_nn::PersistError;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// Either completion model behind one dispatching surface.
 // One instance lives behind each Arc<ModelShard>; the variant size
@@ -119,25 +132,103 @@ impl AnyModel {
 pub struct ModelShard {
     /// The warm model (parameters loaded, ready to infer).
     pub model: AnyModel,
-    /// The global generation counter's value when this shard was
-    /// (re)installed. Cache keys embed it, so hot-swapping one shard
+    /// The model generation of the snapshot that (re)installed this
+    /// shard. Cache keys embed it, so hot-swapping one shard
     /// invalidates exactly that shard's cached completions.
     pub generation: u64,
 }
 
-/// One immutable generation of the served shard set.
+/// One immutable generation of the served shard set: every shard's
+/// model, row view and factory, and the model and graph generations.
 pub struct ModelSnapshot {
     shards: Vec<Arc<ModelShard>>,
     views: Arc<Vec<RowView>>,
-    /// Global monotonic generation (0 = factory-fresh, untrained).
-    /// Bumped on every shard swap.
+    factories: Vec<Arc<ModelFactory>>,
+    /// Model generation (0 = factory-fresh, untrained). Every publish
+    /// bumps it.
     pub generation: u64,
+    /// Graph (topology) generation: 0 until the first topology change,
+    /// bumped by each [`ModelRegistry::install_topology`]. Every
+    /// completion this snapshot computes carries it.
+    pub graph_generation: u64,
     n: usize,
     m: usize,
     out_cols: usize,
 }
 
 impl ModelSnapshot {
+    /// Assembles a snapshot after checking every shard's model against
+    /// the view it serves under and against shard 0's head.
+    ///
+    /// # Panics
+    /// Panics when the view count differs from the shard count, or a
+    /// model does not fit its view, or the shards' bucket counts or
+    /// heads differ.
+    fn checked(
+        shards: Vec<Arc<ModelShard>>,
+        views: Arc<Vec<RowView>>,
+        factories: Vec<Arc<ModelFactory>>,
+        generation: u64,
+        graph_generation: u64,
+    ) -> Self {
+        assert_eq!(views.len(), shards.len(), "one view per shard required");
+        let m = shards[0].model.num_buckets();
+        let out_cols = shards[0].model.output_cols();
+        for (k, (shard, view)) in shards.iter().zip(views.iter()).enumerate() {
+            assert_eq!(
+                shard.model.num_edges(),
+                view.num_local(),
+                "shard {k}'s model covers {} edges but its view has {} local rows",
+                shard.model.num_edges(),
+                view.num_local()
+            );
+            assert_eq!(shard.model.num_buckets(), m, "shard {k} bucket count differs");
+            assert_eq!(shard.model.output_cols(), out_cols, "shard {k} head differs");
+        }
+        let n = views.iter().map(RowView::num_owned).sum();
+        Self { shards, views, factories, generation, graph_generation, n, m, out_cols }
+    }
+
+    /// The snapshot that publishing `change` makes of this one. The
+    /// model generation advances by one and every changed shard takes
+    /// it; a topology change also advances the graph generation.
+    fn next(&self, change: Change) -> Result<Self, ServeError> {
+        let generation = self.generation + 1;
+        let fresh = |model: AnyModel| Arc::new(ModelShard { model, generation });
+        let mut shards = self.shards.clone();
+        let mut factories = self.factories.clone();
+        let mut views = Arc::clone(&self.views);
+        let mut graph_generation = self.graph_generation;
+        match change {
+            Change::Shard { k, model, loaded_under } => {
+                if let Some(g) = loaded_under.filter(|&g| g != graph_generation) {
+                    return Err(ServeError::Checkpoint(PersistError::Mismatch(format!(
+                        "shard {k}'s checkpoint was loaded for graph generation {g}, \
+                         but the topology changed to generation {graph_generation}"
+                    ))));
+                }
+                shards[k] = fresh(model);
+            }
+            Change::Set(models) => shards = models.into_iter().map(fresh).collect(),
+            Change::Topology(updates, new_views) => {
+                for u in updates {
+                    // Only this loop hands out the new generation, so
+                    // a shard already carrying it was updated twice.
+                    assert_ne!(
+                        shards[u.shard].generation, generation,
+                        "duplicate update for shard {}",
+                        u.shard
+                    );
+                    shards[u.shard] = fresh(u.model);
+                    factories[u.shard] = Arc::new(u.factory);
+                }
+                views = Arc::new(new_views);
+                graph_generation += 1;
+            }
+        }
+        Ok(Self::checked(shards, views, factories, generation, graph_generation))
+    }
+
     /// Number of shards K.
     pub fn num_shards(&self) -> usize {
         self.shards.len()
@@ -167,16 +258,6 @@ impl ModelSnapshot {
     pub fn output_cols(&self) -> usize {
         self.out_cols
     }
-
-    /// The single model of a single-shard snapshot (the K = 1 serving
-    /// path, where the shard's rows are the global rows).
-    ///
-    /// # Panics
-    /// Panics on a multi-shard snapshot.
-    pub fn model(&self) -> &AnyModel {
-        assert_eq!(self.shards.len(), 1, "model() is single-shard only; use shard(k)");
-        &self.shards[0].model
-    }
 }
 
 /// Factory closure producing an untrained model of one shard's
@@ -197,16 +278,27 @@ pub struct TopologyUpdate {
     pub factory: ModelFactory,
 }
 
-/// Registry holding the current [`ModelSnapshot`] behind an [`RwLock`]
-/// for lock-cheap reads and atomic hot swaps.
-///
-/// Lock order (deadlock freedom): `factories` → `views` → `current`.
+/// What one publish changes.
+// Built once per publish and consumed by it; boxing the model would
+// only add an allocation.
+#[allow(clippy::large_enum_variant)]
+enum Change {
+    /// Shard `k`'s model. `loaded_under` is the graph generation whose
+    /// factory built a checkpoint load's model; the publish is refused
+    /// when the topology has changed since.
+    Shard { k: usize, model: AnyModel, loaded_under: Option<u64> },
+    /// Every shard's model.
+    Set(Vec<AnyModel>),
+    /// The repaired shards' models and factories, and every shard's
+    /// new view.
+    Topology(Vec<TopologyUpdate>, Vec<RowView>),
+}
+
+/// Registry holding the current [`ModelSnapshot`] behind one
+/// [`RwLock`]: lock-cheap reads, and changes that swap the snapshot in
+/// whole.
 pub struct ModelRegistry {
-    factories: RwLock<Vec<ModelFactory>>,
-    views: RwLock<Arc<Vec<RowView>>>,
     current: RwLock<Arc<ModelSnapshot>>,
-    generation: AtomicU64,
-    num_shards: usize,
 }
 
 impl ModelRegistry {
@@ -226,9 +318,8 @@ impl ModelRegistry {
             partition.num_partitions(),
             "one factory per partition required"
         );
-        let views: Vec<RowView> = partition.partitions().iter().map(|p| p.view().clone()).collect();
-        let models: Vec<AnyModel> = factories.iter().map(|f| f()).collect();
-        Self::from_parts(factories, views, models)
+        let models = factories.iter().map(|f| f()).collect();
+        Self::from_parts(factories, partition.views(), models)
     }
 
     fn from_parts(
@@ -237,62 +328,38 @@ impl ModelRegistry {
         models: Vec<AnyModel>,
     ) -> Self {
         assert!(!models.is_empty(), "a registry needs at least one shard");
-        let n: usize = views.iter().map(RowView::num_owned).sum();
-        let m = models[0].num_buckets();
-        let out_cols = models[0].output_cols();
-        for (k, (model, view)) in models.iter().zip(&views).enumerate() {
-            assert_eq!(
-                model.num_edges(),
-                view.num_local(),
-                "shard {k} model covers {} edges but its view has {} local rows",
-                model.num_edges(),
-                view.num_local()
-            );
-            assert_eq!(model.num_buckets(), m, "shard {k} bucket count differs");
-            assert_eq!(model.output_cols(), out_cols, "shard {k} head differs");
-        }
-        let views = Arc::new(views);
-        let num_shards = factories.len();
         let shards =
             models.into_iter().map(|model| Arc::new(ModelShard { model, generation: 0 })).collect();
-        let snapshot = Arc::new(ModelSnapshot {
-            shards,
-            views: Arc::clone(&views),
-            generation: 0,
-            n,
-            m,
-            out_cols,
-        });
-        Self {
-            factories: RwLock::new(factories),
-            views: RwLock::new(views),
-            current: RwLock::new(snapshot),
-            generation: AtomicU64::new(0),
-            num_shards,
-        }
+        let factories = factories.into_iter().map(Arc::new).collect();
+        let snapshot = ModelSnapshot::checked(shards, Arc::new(views), factories, 0, 0);
+        Self { current: RwLock::new(Arc::new(snapshot)) }
     }
 
     /// The currently served snapshot. Cheap; callers hold the `Arc`
     /// for the duration of a batch so hot swaps never disrupt them.
     pub fn snapshot(&self) -> Arc<ModelSnapshot> {
-        Arc::clone(&self.current.read().unwrap())
+        // A poisoned lock still guards a whole snapshot: the `Arc` is
+        // only ever replaced in one assignment (see `publish`).
+        Arc::clone(&self.current.read().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Number of shards K.
     pub fn num_shards(&self) -> usize {
-        self.num_shards
+        self.snapshot().num_shards()
     }
 
-    /// Current global generation number.
+    /// Current model generation.
     pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Acquire)
+        self.snapshot().generation
     }
 
-    /// Loads `path` into shard `k` and atomically swaps a new snapshot
-    /// in; every other shard is shared unchanged. On any error the
-    /// previous snapshot keeps serving. Returns the new generation.
+    /// Loads `path` into shard `k` and publishes a new snapshot; every
+    /// other shard is shared unchanged. On any error the previous
+    /// snapshot keeps serving: a corrupt or wrong-architecture file,
+    /// and a topology change that overtook the load (the checkpoint
+    /// was read into the old architecture), are refused with
+    /// [`ServeError::Checkpoint`]. Returns the new generation.
     pub fn load_shard(&self, k: usize, path: &Path) -> Result<u64, ServeError> {
-        assert!(k < self.num_shards, "shard {k} out of range");
         // Failpoint: an injected load failure (disk error, torn
         // checkpoint) must leave the previous snapshot serving.
         if gcwc_failpoint::triggered(crate::failsite::REGISTRY_LOAD) {
@@ -301,21 +368,20 @@ impl ModelRegistry {
                 crate::failsite::REGISTRY_LOAD
             ))));
         }
-        let mut model = (self.factories.read().unwrap()[k])();
+        let snapshot = self.snapshot();
+        let mut model = (snapshot.factories[k])();
         model.load(path)?;
-        Ok(self.swap_shard(k, model))
+        self.publish(Change::Shard { k, model, loaded_under: Some(snapshot.graph_generation) })
     }
 
     /// Swaps an already-built model (e.g. trained in-process) into
     /// shard `k`. Returns the new generation number.
+    ///
+    /// # Panics
+    /// Panics when the model does not fit shard `k`'s view.
     pub fn install_shard(&self, k: usize, model: AnyModel) -> u64 {
-        assert!(k < self.num_shards, "shard {k} out of range");
-        assert_eq!(
-            model.num_edges(),
-            self.views.read().unwrap()[k].num_local(),
-            "installed model does not match shard {k}'s view"
-        );
-        self.swap_shard(k, model)
+        let change = Change::Shard { k, model, loaded_under: None };
+        self.publish(change).expect("only a checkpoint load is refused")
     }
 
     /// Loads `path` into the single shard of a K = 1 registry.
@@ -324,7 +390,7 @@ impl ModelRegistry {
     /// Panics on a sharded registry — load each shard with
     /// [`ModelRegistry::load_shard`].
     pub fn load(&self, path: &Path) -> Result<u64, ServeError> {
-        assert_eq!(self.num_shards, 1, "load() is single-shard only; use load_shard");
+        assert_eq!(self.num_shards(), 1, "load() is single-shard only; use load_shard");
         self.load_shard(0, path)
     }
 
@@ -335,137 +401,61 @@ impl ModelRegistry {
     /// Panics on a sharded registry — use
     /// [`ModelRegistry::install_shard`].
     pub fn install(&self, model: AnyModel) -> u64 {
-        assert_eq!(self.num_shards, 1, "install() is single-shard only; use install_shard");
+        assert_eq!(self.num_shards(), 1, "install() is single-shard only; use install_shard");
         self.install_shard(0, model)
     }
 
-    /// Swaps a complete shard set in as **one** atomic snapshot
-    /// replacement under a single generation bump — the hot-swap path
-    /// of an incremental refresh, where shard-by-shard
-    /// [`ModelRegistry::install_shard`] calls would expose mixed
-    /// generations to in-flight requests (and a crash between them
-    /// would strand a half-swapped set). Every shard's generation
-    /// changes, so all cached completions of the previous set miss.
-    /// Returns the new generation.
+    /// Swaps a complete shard set in as **one** snapshot under a single
+    /// generation bump — the hot-swap path of an incremental refresh,
+    /// where shard-by-shard [`ModelRegistry::install_shard`] calls
+    /// would expose mixed generations to in-flight requests (and a
+    /// crash between them would strand a half-swapped set). Every
+    /// shard's generation changes, so all cached completions of the
+    /// previous set miss. Returns the new generation.
+    ///
+    /// # Panics
+    /// Panics unless there is one model per shard, each fitting its
+    /// shard's view.
     pub fn install_set(&self, models: Vec<AnyModel>) -> u64 {
-        assert_eq!(models.len(), self.num_shards, "install_set needs one model per shard");
-        let views = Arc::clone(&self.views.read().unwrap());
-        for (k, model) in models.iter().enumerate() {
-            assert_eq!(
-                model.num_edges(),
-                views[k].num_local(),
-                "installed model does not match shard {k}'s view"
-            );
-        }
-        // Same injection point as the per-shard swap: a `panic` here
-        // dies before the generation bump, leaving the previous
-        // snapshot serving untouched.
-        if gcwc_failpoint::triggered(crate::failsite::REGISTRY_INSTALL) {
-            panic!("failpoint {}: injected install failure", crate::failsite::REGISTRY_INSTALL);
-        }
-        let generation = self.generation.fetch_add(1, Ordering::AcqRel) + 1;
-        let shards: Vec<Arc<ModelShard>> =
-            models.into_iter().map(|model| Arc::new(ModelShard { model, generation })).collect();
-        let mut current = self.current.write().unwrap();
-        *current = Arc::new(ModelSnapshot {
-            shards,
-            views,
-            generation,
-            n: current.n,
-            m: current.m,
-            out_cols: current.out_cols,
-        });
-        generation
+        self.publish(Change::Set(models)).expect("only a checkpoint load is refused")
     }
 
     /// Absorbs a graph-topology change (an applied
     /// [`gcwc_graph::GraphDelta`]) into the served shard set as **one**
-    /// atomic snapshot swap: every repaired shard gets its rebuilt
-    /// model (and a fresh generation, invalidating exactly its cached
-    /// completions), while untouched shards keep their `Arc`s *and*
-    /// their generations — their cache entries stay valid across the
-    /// swap. The row views are replaced wholesale (`views[k]` must be
-    /// byte-identical to the old view for every unrepaired shard `k`,
-    /// which [`gcwc_graph::DeltaRepair`] guarantees by construction).
-    /// Returns the new model generation.
+    /// snapshot swap that also bumps the graph generation: every
+    /// repaired shard gets its rebuilt model and factory (and a fresh
+    /// model generation, invalidating exactly its cached completions),
+    /// while untouched shards keep their `Arc`s *and* their generations
+    /// — their cache entries stay valid across the swap. The row views
+    /// are replaced wholesale; an unrepaired shard's view must keep its
+    /// local row count, which [`gcwc_graph::DeltaRepair`] guarantees by
+    /// construction. Returns the new model generation.
+    ///
+    /// # Panics
+    /// Panics unless there is one view per shard and every shard's
+    /// model fits its new view, or when a shard has two updates.
     pub fn install_topology(&self, updates: Vec<TopologyUpdate>, views: Vec<RowView>) -> u64 {
-        assert_eq!(views.len(), self.num_shards, "install_topology needs one view per shard");
-        let mut factories = self.factories.write().unwrap();
-        let mut cur_views = self.views.write().unwrap();
-        {
-            let current = self.current.read().unwrap();
-            let mut seen = vec![false; self.num_shards];
-            for u in &updates {
-                assert!(u.shard < self.num_shards, "shard {} out of range", u.shard);
-                assert!(!seen[u.shard], "duplicate update for shard {}", u.shard);
-                seen[u.shard] = true;
-                assert_eq!(
-                    u.model.num_edges(),
-                    views[u.shard].num_local(),
-                    "repaired model does not match shard {}'s new view",
-                    u.shard
-                );
-                assert_eq!(u.model.num_buckets(), current.m, "shard {} bucket count", u.shard);
-                assert_eq!(u.model.output_cols(), current.out_cols, "shard {} head", u.shard);
-            }
-            for k in 0..self.num_shards {
-                if !seen[k] {
-                    assert_eq!(
-                        current.shards[k].model.num_edges(),
-                        views[k].num_local(),
-                        "unrepaired shard {k}'s view changed; it must carry an update"
-                    );
-                }
-            }
-        }
-        // Same injection point as the full-set swap: a `panic` here
-        // dies before the generation bump, leaving the previous
-        // snapshot (and the previous topology) serving untouched.
-        if gcwc_failpoint::triggered(crate::failsite::REGISTRY_INSTALL) {
-            panic!("failpoint {}: injected install failure", crate::failsite::REGISTRY_INSTALL);
-        }
-        let generation = self.generation.fetch_add(1, Ordering::AcqRel) + 1;
-        let views = Arc::new(views);
-        let n: usize = views.iter().map(RowView::num_owned).sum();
-        let mut current = self.current.write().unwrap();
-        let mut shards = current.shards.clone();
-        for u in updates {
-            shards[u.shard] = Arc::new(ModelShard { model: u.model, generation });
-            factories[u.shard] = u.factory;
-        }
-        *cur_views = Arc::clone(&views);
-        *current = Arc::new(ModelSnapshot {
-            shards,
-            views,
-            generation,
-            n,
-            m: current.m,
-            out_cols: current.out_cols,
-        });
-        generation
+        self.publish(Change::Topology(updates, views)).expect("only a checkpoint load is refused")
     }
 
-    fn swap_shard(&self, k: usize, model: AnyModel) -> u64 {
-        // Failpoint: `panic` here simulates dying mid-install,
-        // `delay(ms)` a slow swap racing in-flight batches (which keep
-        // serving their snapshot `Arc` either way).
+    /// The one way the served set changes. Evaluates the install
+    /// failpoint, then, under the write lock, derives the next snapshot
+    /// from the current one and swaps it in whole. A panic anywhere in
+    /// here leaves the previous snapshot serving, and the registry
+    /// stays usable: the guarded `Arc` is only replaced in the final
+    /// assignment, so readers and later publishes ignore the lock's
+    /// poison flag. Returns the new model generation.
+    fn publish(&self, change: Change) -> Result<u64, ServeError> {
+        // Failpoint: `panic` simulates dying mid-install, `delay(ms)` a
+        // slow publish racing in-flight batches and other publishes.
+        // Evaluated before the lock, so neither holds it.
         if gcwc_failpoint::triggered(crate::failsite::REGISTRY_INSTALL) {
             panic!("failpoint {}: injected install failure", crate::failsite::REGISTRY_INSTALL);
         }
-        let generation = self.generation.fetch_add(1, Ordering::AcqRel) + 1;
-        let shard = Arc::new(ModelShard { model, generation });
-        let views = Arc::clone(&self.views.read().unwrap());
-        let mut current = self.current.write().unwrap();
-        let mut shards = current.shards.clone();
-        shards[k] = shard;
-        *current = Arc::new(ModelSnapshot {
-            shards,
-            views,
-            generation,
-            n: current.n,
-            m: current.m,
-            out_cols: current.out_cols,
-        });
-        generation
+        let mut current = self.current.write().unwrap_or_else(PoisonError::into_inner);
+        let next = Arc::new(current.next(change)?);
+        let generation = next.generation;
+        *current = next;
+        Ok(generation)
     }
 }

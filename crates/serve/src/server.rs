@@ -31,7 +31,10 @@
 //! thread and the listener, so one tenant's open breakers or exhausted
 //! quota cannot alter another tenant's responses. [`Server::start`] is
 //! the single-tenant path: it registers its engine as
-//! [`TenantId::DEFAULT`] (id 0).
+//! [`TenantId::DEFAULT`] (id 0). A completion answer carries the graph
+//! generation its [`Completion`] was computed under, so its rows
+//! always match the topology it names, whatever changed while the
+//! answer waited to be encoded.
 
 use crate::engine::{Completion, Engine, StatsSnapshot};
 use crate::protocol::TokResponse;
@@ -680,14 +683,14 @@ impl Reactor {
         conn.in_flight -= 1;
         match result {
             Ok(c) => {
-                // The graph generation is observed at encode time: a
-                // delta applied while the request was in flight is
-                // visible on its response.
+                // The graph generation is the one the completion was
+                // computed under, not the tenant's current one: a delta
+                // applied while the answer waited does not relabel it.
                 wire::encode_tcomplete_ok(
                     &mut conn.wbuf,
                     ticket.request_id,
                     state.tenant.id().0,
-                    state.tenant.graph_generation(),
+                    c.graph_generation,
                     &c.output,
                     c.cache_hit,
                     c.degraded,
@@ -886,7 +889,7 @@ impl BinClient {
     }
 
     /// Sends a completion request for `tenant` and waits for its
-    /// answer (including the tenant's graph generation).
+    /// answer (including the graph generation it was computed under).
     pub fn tcomplete(
         &mut self,
         tenant: u64,

@@ -9,27 +9,25 @@
 //! construction (there is no shared mutable serving state between
 //! tenants; the chaos suite pins this bit-for-bit).
 //!
-//! Two tenant-scoped facilities live here rather than in the engine:
+//! **Quotas** are the one tenant-scoped facility that lives here
+//! rather than in the engine: an optional [`TokenBucket`] per tenant
+//! gates request admission ([`Tenant::admit`]); a rejected request
+//! answers [`ServeError::QuotaExceeded`] without ever reaching the
+//! tenant's queue, so a tenant hammering its quota cannot even occupy
+//! queue slots. The `serve.tenant.quota` failpoint simulates
+//! exhaustion for quota-bearing tenants.
 //!
-//! * **Quotas** — an optional [`TokenBucket`] per tenant gates request
-//!   admission ([`Tenant::admit`]); a rejected request answers
-//!   [`ServeError::QuotaExceeded`] without ever reaching the tenant's
-//!   queue, so a tenant hammering its quota cannot even occupy queue
-//!   slots. The `serve.tenant.quota` failpoint simulates exhaustion
-//!   for quota-bearing tenants.
-//! * **Graph generation** — a monotonic counter bumped on every
-//!   applied [`gcwc_graph::GraphDelta`]
-//!   ([`Tenant::install_topology`]), carried on every tenant-form wire
-//!   response so clients detect topology swaps and re-derive any
-//!   row-index-dependent state.
+//! A tenant's graph changes through its registry
+//! ([`crate::ModelRegistry::install_topology`]): the graph generation
+//! travels with the served snapshot, so every completion carries the
+//! generation of the topology that computed it.
 //!
 //! A single-tenant deployment ([`crate::Server::start`]) serves its
 //! engine as [`TenantId::DEFAULT`] (id 0).
 
 use crate::engine::{Engine, EngineConfig, StatsSnapshot};
-use crate::registry::{ModelRegistry, TopologyUpdate};
+use crate::registry::ModelRegistry;
 use crate::{failsite, ServeError};
-use gcwc_graph::RowView;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
@@ -97,14 +95,13 @@ impl TokenBucket {
     }
 }
 
-/// One tenant: its engine (queue, caches, breakers, counters), quota,
-/// and graph-topology generation.
+/// One tenant: its engine (queue, caches, breakers, counters, and
+/// through the registry its graph) and its quota.
 pub struct Tenant {
     id: TenantId,
     engine: Arc<Engine>,
     quota: Option<Mutex<TokenBucket>>,
     quota_rejected: AtomicU64,
-    graph_generation: AtomicU64,
 }
 
 impl Tenant {
@@ -114,7 +111,6 @@ impl Tenant {
             engine,
             quota: quota.map(|q| Mutex::new(TokenBucket::new(q))),
             quota_rejected: AtomicU64::new(0),
-            graph_generation: AtomicU64::new(0),
         }
     }
 
@@ -150,38 +146,13 @@ impl Tenant {
         }
     }
 
-    /// Requests rejected by this tenant's quota so far.
-    pub fn quota_rejected(&self) -> u64 {
-        self.quota_rejected.load(Ordering::Relaxed)
-    }
-
-    /// The tenant's current graph-topology generation (0 until the
-    /// first delta is applied).
-    pub fn graph_generation(&self) -> u64 {
-        self.graph_generation.load(Ordering::Acquire)
-    }
-
-    /// Absorbs a repaired topology into the tenant's registry (see
-    /// [`ModelRegistry::install_topology`]) and bumps the graph
-    /// generation clients observe on tenant-form responses. Returns
-    /// `(model_generation, graph_generation)`.
-    pub fn install_topology(
-        &self,
-        updates: Vec<TopologyUpdate>,
-        views: Vec<RowView>,
-    ) -> (u64, u64) {
-        let model_gen = self.engine.registry().install_topology(updates, views);
-        let graph_gen = self.graph_generation.fetch_add(1, Ordering::AcqRel) + 1;
-        (model_gen, graph_gen)
-    }
-
-    /// The tenant's engine counters with the tenant-layer fields
-    /// (graph generation, quota rejections) filled in.
+    /// The tenant's engine counters with the one counter the tenant
+    /// layer owns, the quota rejections, filled in.
     pub fn stats(&self) -> StatsSnapshot {
-        let mut s = self.engine.stats();
-        s.graph_generation = self.graph_generation();
-        s.quota_rejected = self.quota_rejected();
-        s
+        StatsSnapshot {
+            quota_rejected: self.quota_rejected.load(Ordering::Relaxed),
+            ..self.engine.stats()
+        }
     }
 }
 
@@ -235,29 +206,9 @@ impl TenantRegistry {
         tenant
     }
 
-    /// Looks a tenant up by id.
-    pub fn get(&self, id: TenantId) -> Option<Arc<Tenant>> {
-        self.tenants.read().unwrap().get(&id.0).cloned()
-    }
-
-    /// Registered tenant ids, ascending.
-    pub fn ids(&self) -> Vec<TenantId> {
-        self.tenants.read().unwrap().keys().map(|&id| TenantId(id)).collect()
-    }
-
     /// All registered tenants, ascending by id.
     pub fn tenants(&self) -> Vec<Arc<Tenant>> {
         self.tenants.read().unwrap().values().cloned().collect()
-    }
-
-    /// Number of registered tenants.
-    pub fn len(&self) -> usize {
-        self.tenants.read().unwrap().len()
-    }
-
-    /// True when no tenant is registered.
-    pub fn is_empty(&self) -> bool {
-        self.tenants.read().unwrap().is_empty()
     }
 
     /// Gracefully shuts every tenant's engine down (each drains its

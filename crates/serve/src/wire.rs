@@ -43,9 +43,10 @@
 //! └──────────┴────────────┴─────────────────────────────────────────────┘
 //! ```
 //!
-//! Every request names a tenant, and every answer carries it back. The
-//! graph generation of a completion answer is bumped on every applied
-//! topology delta, so clients detect swaps. The stats answer lists
+//! Every request names a tenant, and every answer carries it back. A
+//! completion answer carries the graph generation it was computed
+//! under, bumped on every applied topology delta, so clients detect
+//! swaps. The stats answer lists
 //! every counter of [`StatsSnapshot::FIELDS`] by name; a decoder
 //! matches counters by name, skipping names it does not know and
 //! reading a counter the answer lacks as 0. A frame of another version

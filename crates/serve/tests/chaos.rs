@@ -18,22 +18,33 @@
 //! every front-end site unarmed the binary protocol must serve
 //! bit-identically to the reference.
 //!
+//! The registry's publish path is covered as well: an injected load
+//! error or install panic leaves the previous snapshot serving and the
+//! next publish succeeding, a checkpoint load that a topology change
+//! overtook is refused, and a wire answer carries the graph generation
+//! of the snapshot that computed it.
+//!
 //! The failpoint registry is process-global, so every test serialises
 //! on [`chaos_lock`] and disarms its sites before releasing it.
 
 #![cfg(feature = "failpoints")]
 
+mod growing_city;
+
 use gcwc::{build_samples, GcwcModel, ModelConfig, ShardedModel, TaskKind, TrainSample};
 use gcwc_graph::PartitionSet;
 use gcwc_linalg::Matrix;
+use gcwc_nn::PersistError;
 use gcwc_serve::{
     failsite, AnyModel, BinClient, BreakerConfig, Engine, EngineConfig, ModelRegistry, QuotaConfig,
     RetryPolicy, ServeError, Server, ServerConfig, TenantId, TenantRegistry,
 };
 use gcwc_traffic::{generators, simulate, HistogramSpec, SimConfig};
+use growing_city::GrowingCity;
 use proptest::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn chaos_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -118,6 +129,8 @@ fn disarm_all() {
     gcwc_failpoint::remove(failsite::ACCEPT);
     gcwc_failpoint::remove(failsite::WRITE);
     gcwc_failpoint::remove(failsite::TENANT_QUOTA);
+    gcwc_failpoint::remove(failsite::REGISTRY_LOAD);
+    gcwc_failpoint::remove(failsite::REGISTRY_INSTALL);
     for k in 0..2 {
         gcwc_failpoint::remove(&failsite::shard_forward(k));
         for t in 1..=2 {
@@ -135,6 +148,23 @@ impl Drop for DisarmOnDrop {
     fn drop(&mut self) {
         disarm_all();
     }
+}
+
+/// Arms the sites `GCWC_FAILPOINTS` names (a no-op once read) and
+/// disarms every site, for the registry tests below: they time their
+/// own sites against each other, so no ambient fault may join in.
+fn quiet() {
+    gcwc_failpoint::init_from_env();
+    disarm_all();
+}
+
+/// A fresh checkpoint file for a growing-city test.
+fn city_checkpoint(name: &str, model: &GcwcModel) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join("gcwc_serve_chaos_city");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(name);
+    model.save(&path).unwrap();
+    path
 }
 
 #[test]
@@ -644,4 +674,184 @@ fn unarmed_sites_serve_bit_identically_with_zero_fault_counters() {
     assert_eq!(stats.degraded_responses, 0, "stats: {stats:?}");
     assert_eq!(stats.retries, 0, "stats: {stats:?}");
     engine.shutdown();
+}
+
+/// An injected load error is typed, and the previous snapshot and
+/// generation keep serving exactly; the next load publishes.
+#[test]
+fn registry_load_err_keeps_the_previous_snapshot_serving() {
+    let _guard = chaos_lock();
+    let _disarm = DisarmOnDrop;
+    quiet();
+    let f = fixture();
+    let registry = make_registry();
+    let before = registry.snapshot();
+
+    gcwc_failpoint::configure(failsite::REGISTRY_LOAD, "1*err->off").unwrap();
+    let failed = registry.load_shard(0, &f.ckpts[0]);
+    assert!(matches!(failed, Err(ServeError::Io(_))), "got {failed:?}");
+    assert!(Arc::ptr_eq(&before, &registry.snapshot()), "a failed load must not publish");
+    assert_eq!(registry.generation(), before.generation);
+
+    let engine = Engine::new(
+        Arc::clone(&registry),
+        EngineConfig { workers: 1, cache_capacity: 0, ..Default::default() },
+    );
+    let mut client = engine.client();
+    let s = &f.samples[0];
+    let mut input = client.input_buffer();
+    input.copy_from(&s.input);
+    let c = client.complete(input, s.context.time_of_day, s.context.day_of_week).unwrap();
+    assert_eq!(c.generation, before.generation);
+    assert!(!c.degraded);
+    assert_eq!(bits(&f.reference[0]), bits(&c.output), "the previous snapshot serves exactly");
+    engine.shutdown();
+
+    assert_eq!(registry.load_shard(0, &f.ckpts[0]).unwrap(), before.generation + 1);
+}
+
+/// A panic injected at the install site of `install_shard`, of
+/// `install_set` (a refresh's swap) and of `install_topology` leaves
+/// the previous snapshot serving, and the next publish of every kind
+/// succeeds: no lock is left poisoned.
+#[test]
+fn registry_install_panic_keeps_the_previous_snapshot_and_the_next_publish_succeeds() {
+    let _guard = chaos_lock();
+    let _disarm = DisarmOnDrop;
+    quiet();
+    let city = GrowingCity::new();
+    let registry = city.registry();
+    let shard_model =
+        |k: usize| AnyModel::Gcwc(growing_city::model(city.partition.partition(k).graph()));
+    let engine =
+        Engine::new(Arc::clone(&registry), EngineConfig { workers: 1, ..Default::default() });
+    let mut client = engine.client();
+
+    let publishes: [(&str, Box<dyn Fn() -> u64 + '_>); 3] = [
+        ("install_shard", Box::new(|| registry.install_shard(1, shard_model(1)))),
+        ("install_set", Box::new(|| registry.install_set(vec![shard_model(0), shard_model(1)]))),
+        (
+            "install_topology",
+            Box::new(|| {
+                let (updates, views) = city.grow();
+                registry.install_topology(updates, views)
+            }),
+        ),
+    ];
+    for (name, publish) in &publishes {
+        let before = registry.snapshot();
+        gcwc_failpoint::configure(failsite::REGISTRY_INSTALL, "1*panic->off").unwrap();
+        assert!(catch_unwind(AssertUnwindSafe(publish)).is_err(), "{name}: the site must fire");
+        assert!(Arc::ptr_eq(&before, &registry.snapshot()), "{name}: nothing was published");
+        let c = client.complete(growing_city::input(64), 0, 0).unwrap();
+        assert_eq!((c.generation, c.graph_generation, c.degraded), (before.generation, 0, false));
+        client.recycle(c);
+
+        // Every kind of publish goes through after the injected panic.
+        assert_eq!(registry.install_shard(0, shard_model(0)), before.generation + 1, "{name}");
+        let generation = registry.install_set(vec![shard_model(0), shard_model(1)]);
+        assert_eq!(generation, before.generation + 2, "{name}");
+    }
+    let (updates, views) = city.grow();
+    registry.install_topology(updates, views);
+    let path = city_checkpoint(
+        "grown.shard0.ckpt",
+        &growing_city::model(city.grown().partition(0).graph()),
+    );
+    registry.load_shard(0, &path).unwrap();
+    let c = client.complete(growing_city::input(65), 0, 0).unwrap();
+    assert_eq!((c.output.rows(), c.graph_generation, c.degraded), (65, 1, false));
+    engine.shutdown();
+}
+
+/// A checkpoint load holds its model in the install site's delay while
+/// a topology change appends an edge to its shard. The load read the
+/// file into the old 64-edge architecture, so publishing it would set
+/// a model beside a view it does not fit: it is refused, and every
+/// shard's model keeps fitting its view.
+#[test]
+fn registry_refuses_a_load_that_a_topology_change_overtook() {
+    let _guard = chaos_lock();
+    let _disarm = DisarmOnDrop;
+    quiet();
+    let city = GrowingCity::new();
+    let registry = city.registry();
+    let stale = city_checkpoint(
+        "stale.shard0.ckpt",
+        &growing_city::model(city.partition.partition(0).graph()),
+    );
+    let (updates, views) = city.grow();
+
+    gcwc_failpoint::configure(failsite::REGISTRY_INSTALL, "1*delay(400)->off").unwrap();
+    let load = {
+        let registry = Arc::clone(&registry);
+        std::thread::spawn(move || registry.load_shard(0, &stale))
+    };
+    std::thread::sleep(Duration::from_millis(150));
+    let started = Instant::now();
+    registry.install_topology(updates, views);
+    assert!(
+        started.elapsed() < Duration::from_millis(200),
+        "the load, not the topology change, must hold the delay"
+    );
+    let loaded = load.join().unwrap();
+    assert!(
+        matches!(loaded, Err(ServeError::Checkpoint(PersistError::Mismatch(_)))),
+        "got {loaded:?}"
+    );
+
+    let snapshot = registry.snapshot();
+    assert_eq!((snapshot.generation, snapshot.graph_generation), (1, 1));
+    for k in 0..snapshot.num_shards() {
+        assert_eq!(snapshot.shard(k).model.num_edges(), snapshot.view(k).num_local(), "shard {k}");
+    }
+    let engine =
+        Engine::new(Arc::clone(&registry), EngineConfig { workers: 1, ..Default::default() });
+    let mut client = engine.client();
+    let c = client.complete(growing_city::input(65), 0, 0).unwrap();
+    assert_eq!((c.output.rows(), c.degraded), (65, false));
+    engine.shutdown();
+}
+
+/// A request computed before a topology change but encoded after it
+/// (the reactor's ticks are slowed) is answered with the graph
+/// generation it was computed under, beside its 64-row completion.
+#[test]
+fn wire_answer_carries_the_graph_generation_it_was_computed_under() {
+    let _guard = chaos_lock();
+    let _disarm = DisarmOnDrop;
+    quiet();
+    let city = GrowingCity::new();
+    let registry = city.registry();
+    let tenants = Arc::new(TenantRegistry::new());
+    let tenant = TenantId(3);
+    tenants.register(
+        tenant,
+        Arc::clone(&registry),
+        EngineConfig { workers: 1, ..Default::default() },
+        None,
+    );
+    let mut server =
+        Server::start_tenants(&tenants, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut client = BinClient::connect(server.addr()).unwrap();
+    assert!(client.ping().unwrap(), "the reactor is idle before the site is armed");
+    let (updates, views) = city.grow();
+
+    // Tick 1 (≈ 300 ms) reads the request and the worker computes it;
+    // tick 2 (≈ 600 ms) encodes the answer; the change lands between.
+    gcwc_failpoint::configure(failsite::REACTOR_TICK, "delay(300)").unwrap();
+    let id = client.send_tcomplete(tenant.0, &growing_city::input(64), 0, 0).unwrap();
+    std::thread::sleep(Duration::from_millis(450));
+    registry.install_topology(updates, views);
+    let (answered, result) = client.recv_response().unwrap();
+    disarm_all();
+    let r = result.expect("computed before the change, so the 64-row input was served");
+    assert_eq!(answered, id);
+    assert_eq!((r.graph_generation, r.body.output.rows()), (0, 64));
+
+    let r = client.tcomplete(tenant.0, &growing_city::input(65), 0, 0).unwrap();
+    assert_eq!((r.graph_generation, r.body.output.rows()), (1, 65));
+    assert_eq!(client.tstats(tenant.0).unwrap().graph_generation, 1);
+    server.stop();
+    tenants.shutdown();
 }

@@ -1,12 +1,12 @@
 //! End-to-end delta-repair bit-equivalence at the serving layer,
-//! K ∈ {1, 2, 4}: a tenant registered, served, delta-mutated via
-//! [`Tenant::install_topology`], and re-served must answer bit-for-bit
-//! what a **fresh single-tenant process** built directly on the
-//! post-delta graph answers — and both must match the fresh model's
-//! `predict_global`. The tenant's graph generation is 0 before the
-//! delta and 1 after, on every tenant-form response.
-//!
-//! [`Tenant::install_topology`]: gcwc_serve::Tenant::install_topology
+//! K ∈ {1, 2, 4}: a tenant registered, served, delta-mutated via its
+//! registry's [`ModelRegistry::install_topology`], and re-served must
+//! answer bit-for-bit what a **fresh single-tenant process** built
+//! directly on the post-delta graph answers — and both must match the
+//! fresh model's `predict_global`. The tenant's graph generation is 0
+//! before the delta and 1 after, on every tenant-form response.
+
+mod growing_city;
 
 use std::sync::Arc;
 
@@ -171,8 +171,13 @@ fn tenant_delta_reserve_matches_fresh_single_tenant_process() {
                 }
             })
             .collect();
-        let (_model_gen, graph_gen) = tenant.install_topology(updates, views);
-        assert_eq!(graph_gen, 1, "K={k}: first delta bumps the graph generation to 1");
+        let registry = tenant.engine().registry();
+        registry.install_topology(updates, views);
+        assert_eq!(
+            registry.snapshot().graph_generation,
+            1,
+            "K={k}: first delta bumps the graph generation to 1"
+        );
 
         // Phase 2: post-delta serving through the same live tenant.
         let p2: Vec<Vec<u64>> = samples[..3]
@@ -227,4 +232,36 @@ fn tenant_delta_reserve_matches_fresh_single_tenant_process() {
         assert_eq!(p2, expected, "K={k}: tenant post-delta serving != fresh predict_global");
         assert_eq!(p2, p3, "K={k}: tenant post-delta serving != fresh single-tenant process");
     }
+}
+
+/// A client made before a topology change that appends an edge still
+/// holds output buffers of the old row count. The engine must answer a
+/// correct 65-row request with a 65-row completion instead of
+/// scattering the grown shard set into the 64-row buffer, which panicked
+/// the worker and answered `ShardRestarting` on every try.
+#[test]
+fn a_client_made_before_an_edge_is_appended_gets_the_grown_completion() {
+    let city = growing_city::GrowingCity::new();
+    let registry = city.registry();
+    let engine =
+        Engine::new(Arc::clone(&registry), EngineConfig { workers: 1, ..Default::default() });
+    let mut stale = engine.client();
+    let before = stale.complete(growing_city::input(64), 0, 0).unwrap();
+    assert_eq!((before.output.rows(), before.graph_generation), (64, 0));
+    stale.recycle(before);
+
+    let (updates, views) = city.grow();
+    registry.install_topology(updates, views);
+    let mut fresh = engine.client();
+    for attempt in 0..2 {
+        let got = stale.complete(growing_city::input(65), 0, 0).unwrap();
+        let want = fresh.complete(growing_city::input(65), 0, 0).unwrap();
+        assert_eq!((got.output.rows(), got.graph_generation), (65, 1), "attempt {attempt}");
+        assert!(!got.degraded, "attempt {attempt}");
+        assert_eq!(bits(&got.output), bits(&want.output), "attempt {attempt}");
+        stale.recycle(got);
+        fresh.recycle(want);
+    }
+    assert_eq!(engine.stats().worker_restarts, 0);
+    engine.shutdown();
 }
